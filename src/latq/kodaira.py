@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -58,34 +57,9 @@ def lambda_to_doubled(lam):
     for coef, vec in zip(lam, E7_SIMPLE_DOUBLED):
         for i in range(8):
             z[i] += coef * vec[i]
-    assert sum(z) == 0
+    if sum(z) != 0:
+        raise AssertionError("doubled vector does not sum to zero")
     return tuple(z)
-
-
-@lru_cache(maxsize=1)
-def _solve_matrix():
-    """Left inverse of the doubled simple-root matrix, as Fractions."""
-    v = [[Fraction(x) for x in row] for row in E7_SIMPLE_DOUBLED]
-    # Gram of doubled vectors (= 4 * E7 Gram)
-    g = [[sum(v[i][k] * v[j][k] for k in range(8)) for j in range(7)] for i in range(7)]
-    ginv = _frac_inverse(g)
-    # lambda = Ginv * V * z
-    return [[sum(ginv[i][k] * v[k][j] for k in range(7)) for j in range(8)] for i in range(7)]
-
-
-def _frac_inverse(mat):
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                fr = aug[r][col]
-                aug[r] = [x - fr * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def doubled_to_lambda(z):
@@ -223,7 +197,8 @@ def _shell_classes(d: int):
             shell += _class_size(z)
             per_class.setdefault(n, []).append(z)
     expected = counts_e7(d + 1)[d]
-    assert shell == expected, f"shell size mismatch at d={d}: {shell} vs {expected}"
+    if shell != expected:
+        raise AssertionError(f"shell size mismatch at d={d}: {shell} vs {expected}")
     return shell, per_class
 
 
@@ -253,7 +228,8 @@ def _lex_min_witness(classes) -> tuple:
         if best is None or cand < best:
             best = cand
     # exact reconstruction check on the chosen witness
-    assert doubled_to_lambda(lambda_to_doubled(best)) == best
+    if doubled_to_lambda(lambda_to_doubled(best)) != best:
+        raise AssertionError("witness does not round-trip through the doubled model")
     return best
 
 

@@ -5,6 +5,12 @@ this module works over exact integers / rationals: determinants use Bareiss
 elimination, short-vector enumeration uses a Fraction-valued Cholesky
 decomposition (Fincke-Pohst), kernels and discriminant groups use integer
 normal forms.  No floating point enters any decision path.
+
+Vector counts of the standard root lattices come from Z^k coordinate models
+(one dynamic-programming kernel, one exact convolution).  A model is chosen
+by structure: the lattice's label must rebuild its Gram matrix exactly.  The
+counts leave int64 for Python integers before they could overflow, so they
+are exact at any size.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ class GramLattice:
     """An integral lattice presented by a symmetric Gram matrix.
 
     ``gram`` is a tuple-of-tuples of integers; ``label`` records how the
-    lattice was built (used to pick fast counting models and for display).
+    lattice was built (for display, and to propose a counting model, which
+    is used only if the label rebuilds ``gram`` exactly).
     """
 
     gram: tuple
@@ -426,16 +433,20 @@ def _floor_centre_plus_sqrt(centre: Fraction, bound: Fraction) -> int:
 def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
     """Number of lattice vectors of norm n.
 
-    ``method='auto'`` uses fast exact counting models for the standard
-    constructions (A_n, D_n, E7, Z^k-type sums) and Fincke-Pohst otherwise;
-    ``method='fincke-pohst'`` forces the generic enumerator.
+    ``method='auto'`` uses the exact counting models when the lattice is,
+    by its Gram matrix, the standard construction its label names (A_n, D_n,
+    E7, even <k> and their direct sums), and Fincke-Pohst otherwise;
+    ``method='fincke-pohst'`` forces the generic enumerator.  Counts are
+    exact Python integers, also past int64.
     """
+    if n < 0:
+        raise ValueError("norm must be nonnegative")
     if n == 0:
         return 1
     if method == "auto":
-        counts = _model_counts(L, n // 2 + 2) if L.is_even else None
+        counts = _model_counts(L, n // 2 + 1) if L.is_even else None
         if counts is not None:
-            return int(counts[n // 2]) if n % 2 == 0 and n // 2 < len(counts) else 0
+            return counts[n // 2] if n % 2 == 0 else 0
     elif method not in ("fincke-pohst",):
         raise ValueError(f"unknown method {method!r}")
     return len(enumerate_norm(L, n))
@@ -450,43 +461,43 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
     """Counts c[m] = #{v : norm(v) = 2m} for 0 <= m < prec (even PD lattice).
 
     This is the coefficient list of the theta series on the integer exponent
-    grid, obtained by exhaustive counting (dynamic programming over a Z^k
-    coordinate model when available, Fincke-Pohst otherwise).
+    grid, obtained by exhaustive counting: dynamic programming over a Z^k
+    coordinate model when the Gram matrix is that of the standard
+    construction the label names, Fincke-Pohst otherwise.  Coefficients are
+    exact Python integers, also past int64.
     """
     if not L.is_even:
         raise ValueError("theta_counts expects an even lattice")
     if method == "auto":
-        c = _model_counts(L, prec)
+        c = _model_counts(L, max(prec, 1))
         if c is not None:
-            return [int(x) for x in c[:prec]]
+            return list(c[:prec])
     return [rep_count(L, 2 * m, method="fincke-pohst") for m in range(prec)]
 
 
 # -- fast exact counting models for standard lattices -----------------------
 
 
-def _model_counts(L: GramLattice, prec: int):
-    """Vector counts by half-norm for labelled standard lattices, or None."""
-    bucket = 128
-    while bucket < prec:
-        bucket *= 2
-    c = _model_counts_cached(L, bucket)
-    return None if c is None else c[:prec]
-
-
 @lru_cache(maxsize=64)
-def _model_counts_cached(L: GramLattice, prec: int):
-    label = L.label
-    if not label:
+def _model_counts(L: GramLattice, prec: int):
+    """Vector counts by half-norm from the Z^k coordinate models, or None.
+
+    A model is used only when ``L.label`` names a standard construction whose
+    Gram matrix is exactly ``L.gram``; the label alone is never trusted.
+    """
+    try:
+        std = standard_lattice(L.label)
+    except ValueError:
         return None
-    parts = label.split("+")
-    acc = None
-    for part in parts:
+    if std.gram != L.gram:
+        return None
+    acc = [1]
+    for part in std.label.split("+"):
         c = _atom_counts(part, prec)
         if c is None:
             return None
-        acc = c if acc is None else _convolve_trunc(acc, c, prec)
-    return tuple(acc)
+        acc = _convolve_exact(acc, c)[:prec]
+    return tuple(int(x) for x in acc)
 
 
 def _atom_counts(label: str, prec: int):
@@ -512,36 +523,65 @@ def _atom_counts(label: str, prec: int):
     return None
 
 
-def _convolve_trunc(a, b, prec):
-    out = [0] * prec
-    for i, ai in enumerate(a[:prec]):
-        if ai:
-            for j, bj in enumerate(b[: prec - i]):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+_INT64_MAX = 2**63 - 1
+
+
+def _max_abs(arr) -> int:
+    return max(abs(int(arr.max())), abs(int(arr.min())))
+
+
+def _convolve_exact(a, b) -> np.ndarray:
+    """Full linear convolution of two integer sequences, exact at any size.
+
+    int64 arithmetic is used only when max|a| * max|b| * min(len a, len b)
+    bounds every partial sum below 2^63; otherwise the product runs on
+    Python integers (object arrays).
+    """
+    # Python-int lists go through object arrays: np.asarray would silently
+    # turn entries past int64 into floats
+    a, b = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (a, b))
+    if _max_abs(a) * _max_abs(b) * min(len(a), len(b)) <= _INT64_MAX:
+        return np.convolve(a.astype(np.int64), b.astype(np.int64))
+    return np.convolve(a.astype(object), b.astype(object))
+
+
+def _coordinate_counts(values, n_coords: int, max_sq: int, modulus: int):
+    """col[s] = #{x in values^n_coords : sum x_i^2 = s, sum x_i = 0 mod modulus}
+    for 0 <= s <= max_sq.
+
+    The table is indexed by (sum of squares, coordinate sum mod modulus); one
+    coordinate value shifts it by (v^2, v mod modulus), a cyclic shift being
+    two slice-adds.  The last coordinate feeds only the column where the sum
+    is = 0.  A pass adds at most len(values) entries into each cell, so the
+    table leaves int64 for Python integers before a pass whose sums could
+    pass 2^63.
+    """
+    rows = max_sq + 1
+    table = np.zeros((rows, modulus), dtype=np.int64)
+    table[0, 0] = 1
+    for k in range(n_coords):
+        if table.dtype != object and int(table.max()) * len(values) > _INT64_MAX:
+            table = table.astype(object)
+        if k == n_coords - 1:
+            col = np.zeros(rows, dtype=table.dtype)
+            for v in values:
+                col[v * v :] += table[: rows - v * v, -v % modulus]
+            return col
+        new = np.zeros_like(table)
+        for v in values:
+            sq, r = v * v, v % modulus
+            src = table[: rows - sq]
+            new[sq:, r:] += src[:, : modulus - r]
+            new[sq:, :r] += src[:, modulus - r :]
+        table = new
+    return table[:, 0]
 
 
 def counts_sum_zero(n_coords: int, prec: int):
     """c[m] = #{x in Z^n : sum x_i = 0, sum x_i^2 = 2m}  (the A_{n-1} model)."""
     max_sq = 2 * (prec - 1)
     xmax = isqrt(max_sq)
-    width = n_coords * xmax
-    table = np.zeros((max_sq + 1, 2 * width + 1), dtype=np.int64)
-    table[0, width] = 1
-    for _ in range(n_coords):
-        new = np.zeros_like(table)
-        for x in range(-xmax, xmax + 1):
-            sq = x * x
-            if sq > max_sq:
-                continue
-            src = table[: max_sq + 1 - sq]
-            if x >= 0:
-                new[sq:, : 2 * width + 1 - x] += src[:, x:]
-            else:
-                new[sq:, -x:] += src[:, : 2 * width + 1 + x]
-        table = new
-    col = table[:, width]
+    col = _coordinate_counts(range(-xmax, xmax + 1), n_coords, max_sq, 2 * n_coords * xmax + 1)
     return [int(col[2 * m]) for m in range(prec)]
 
 
@@ -549,58 +589,23 @@ def counts_even_sum(n_coords: int, prec: int):
     """c[m] = #{x in Z^n : sum x_i even, sum x_i^2 = 2m}  (the D_n model)."""
     max_sq = 2 * (prec - 1)
     xmax = isqrt(max_sq)
-    table = np.zeros((max_sq + 1, 2), dtype=np.int64)
-    table[0, 0] = 1
-    for _ in range(n_coords):
-        new = np.zeros_like(table)
-        for x in range(-xmax, xmax + 1):
-            sq = x * x
-            if sq > max_sq:
-                continue
-            par = x & 1
-            src = table[: max_sq + 1 - sq]
-            if par:
-                new[sq:, 0] += src[:, 1]
-                new[sq:, 1] += src[:, 0]
-            else:
-                new[sq:, :] += src
-        table = new
-    col = table[:, 0]
+    col = _coordinate_counts(range(-xmax, xmax + 1), n_coords, max_sq, 2)
     return [int(col[2 * m]) for m in range(prec)]
 
 
 def counts_e7(prec: int):
     """c[m] = N_{E7}(2m) via the zero-sum Z^8 model: vectors are z/2 with
     z in Z^8, sum z = 0, all z_i of equal parity, sum z_i^2 = 8m."""
-    out = []
-    even = _zero_sum_parity_counts(8, 8 * (prec - 1), 0)
-    odd = _zero_sum_parity_counts(8, 8 * (prec - 1), 1)
-    for m in range(prec):
-        out.append(int(even[8 * m] + odd[8 * m]) if m else 1)
-    return out
-
-
-def _zero_sum_parity_counts(n_coords: int, max_sq: int, parity: int):
-    """counts[s] = #{z in Z^8 : z_i = parity mod 2, sum z = 0, sum z^2 = s};
-    for parity 0 the z are even (z=2y)."""
+    max_sq = 8 * (prec - 1)
     zmax = isqrt(max_sq)
-    vals = [z for z in range(-zmax, zmax + 1) if z % 2 == parity % 2]
-    width = n_coords * zmax
-    table = np.zeros((max_sq + 1, 2 * width + 1), dtype=np.int64)
-    table[0, width] = 1
-    for _ in range(n_coords):
-        new = np.zeros_like(table)
-        for z in vals:
-            sq = z * z
-            if sq > max_sq:
-                continue
-            src = table[: max_sq + 1 - sq]
-            if z >= 0:
-                new[sq:, : 2 * width + 1 - z] += src[:, z:]
-            else:
-                new[sq:, -z:] += src[:, : 2 * width + 1 + z]
-        table = new
-    return table[:, width]
+    out = [0] * prec
+    for parity in (0, 1):
+        values = [z for z in range(-zmax, zmax + 1) if z % 2 == parity]
+        modulus = 2 * 8 * max(values, default=0) + 1
+        col = _coordinate_counts(values, 8, max_sq, modulus)
+        for m in range(prec):
+            out[m] += int(col[8 * m])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +715,8 @@ def smith_normal_form(mat):
     dmat = [[m[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
     # sanity: D == Ut * mat * V
     chk = _mat_mul(_mat_mul(ut, [list(r) for r in mat]), v)
-    assert chk == dmat, "SNF transform mismatch"
+    if chk != dmat:
+        raise AssertionError("SNF transform mismatch")
     return dmat, ut, v
 
 
@@ -918,7 +924,8 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
         col = [Fraction(v[r][i], d) for r in range(n)]
         facs.append(d)
         gens.append(tuple(col))
-    assert _prod(facs) == dets, "invariant factor product mismatch"
+    if _prod(facs) != dets:
+        raise AssertionError("invariant factor product mismatch")
     qv = []
     for gvec in gens:
         val = _bilinear_fraction(g, gvec, gvec) % 2

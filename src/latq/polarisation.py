@@ -65,9 +65,12 @@ class PolarisationQuery:
             t1=2 * t // (f * g),
             d1=2 * d // (f * g),
         )
-        assert 2 * t == q.w**2 * q.f1 * q.g1 * q.t1
-        assert 2 * d == q.w**2 * q.f1 * q.g1 * q.d1
-        assert gcd(q.t1, q.d1) == 1 and gcd(q.f1, q.g1) == 1
+        if 2 * t != q.w**2 * q.f1 * q.g1 * q.t1:
+            raise AssertionError("2t != w^2 f1 g1 t1")
+        if 2 * d != q.w**2 * q.f1 * q.g1 * q.d1:
+            raise AssertionError("2d != w^2 f1 g1 d1")
+        if gcd(q.t1, q.d1) != 1 or gcd(q.f1, q.g1) != 1:
+            raise AssertionError("t1, d1 or f1, g1 are not coprime")
         return q
 
 
@@ -82,7 +85,8 @@ class OrbitReport:
     witness_c: int | None
 
     def __post_init__(self):
-        assert (self.count > 0) == self.exists
+        if (self.count > 0) != self.exists:
+            raise AssertionError("orbit count disagrees with existence")
 
 
 def orbit_witnesses(t: int, d: int, f: int):
@@ -211,7 +215,8 @@ def perp_gram(t: int, d: int, f: int, c: int):
     s = c * 2 * t // f
     bmat = ((-2 * b, s), (s, -2 * t))
     det = 4 * b * t - s * s
-    assert det == 4 * d * t // (f * f)
+    if det != 4 * d * t // (f * f):
+        raise AssertionError("complement determinant is not 4dt/f^2")
     return bmat
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .lattices import A as _A
 from .lattices import D as _D
-from .lattices import direct_sum, span
+from .lattices import _convolve_exact, direct_sum, span
 
 __all__ = [
     "kronecker",
@@ -243,12 +243,13 @@ ZETA4 = math.pi**4 / 90
 
 
 def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
-    """Rigorous enclosure (lo, hi) of zeta(2s)/zeta(s) * sum b_n(delta) n^-s.
+    """Rigorous enclosure (lo, hi) of zeta(2s)/zeta(s) * sum b_n(delta) n^-s
+    at s = 2, the only point the representation numbers need.
 
     The tail is bounded through b_n <= 2 * 2^omega(n) * sqrt|delta|.
     """
-    if s <= 1:
-        raise ValueError("need s > 1")
+    if s != 2:
+        raise ValueError("the enclosure is rigorous only at s = 2")
     partial = 0.0
     for n in range(1, terms + 1):
         bn = b_n(delta, n)
@@ -257,15 +258,8 @@ def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
     # sum_{n>N} d(n) n^-s <= (2 ln N + 3.7) / N^{s-1} / (s-1)  (see module tests)
     tail_d = (2 * math.log(terms) + 3.7) / (terms ** (s - 1)) / (s - 1)
     tail = 2.0 * math.sqrt(abs(delta)) * tail_d
-    if s == 2:
-        front = ZETA4 / ZETA2
-    else:
-        front = _zeta(2 * s) / _zeta(s)
+    front = ZETA4 / ZETA2
     return front * partial, front * (partial + tail)
-
-
-def _zeta(s: float, terms: int = 200000) -> float:
-    return sum(n**-s for n in range(1, terms + 1)) + terms ** (1 - s) / (s - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -720,20 +714,20 @@ def _block_distribution(block, p: int, a: int) -> np.ndarray:
 
 
 def _convolve_mod(a_arr: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
+    """Cyclic convolution of two distributions over Z/len(a_arr), exact."""
     ln = len(a_arr)
-    if int(a_arr.max()) * int(b_arr.max()) * ln >= 2**62:
-        # exact big-int fallback
-        out = [0] * ln
-        for i, ai in enumerate(a_arr.tolist()):
-            if ai:
-                for j, bj in enumerate(b_arr.tolist()):
-                    if bj:
-                        out[(i + j) % ln] += ai * bj
-        return np.array(out, dtype=object)
-    full = np.convolve(a_arr, b_arr)
+    full = _convolve_exact(a_arr, b_arr)
     out = full[:ln].copy()
     out[: len(full) - ln] += full[ln:]
     return out
+
+
+def _block_counts(blocks, p: int, a: int) -> np.ndarray:
+    """Value distribution mod p^a of the orthogonal sum of the blocks."""
+    acc = _block_distribution(blocks[0], p, a)
+    for blk in blocks[1:]:
+        acc = _convolve_mod(acc, _block_distribution(blk, p, a))
+    return acc
 
 
 @lru_cache(maxsize=64)
@@ -761,12 +755,7 @@ def _joint_counts(key: str, p: int, a: int, doubled: bool = False) -> tuple:
                 raise AssertionError("downfolding remainder")
             out.append(q)
         return tuple(out)
-    blocks = _blocks_for(key, p, doubled)
-    acc = None
-    for blk in blocks:
-        dist = _block_distribution(blk, p, a)
-        acc = dist if acc is None else _convolve_mod(acc, dist)
-    return tuple(int(x) for x in acc)
+    return tuple(int(x) for x in _block_counts(_blocks_for(key, p, doubled), p, a))
 
 
 _TOP_LEVEL = {2: 12, 3: 8}
@@ -789,11 +778,14 @@ def local_density_oracle(p: int, a: int, local_form, t: int) -> Fraction:
     else:
         blocks = jordan_split(local_form, p)[1]
         m = len(local_form)
-    acc = None
-    for blk in blocks:
-        dist = _block_distribution(blk, p, a)
-        acc = dist if acc is None else _convolve_mod(acc, dist)
-    cnt = int(acc[t % p**a])
+    # only residue t is read, so the last block enters as a dot product
+    mod = p**a
+    last = _block_distribution(blocks[-1], p, a).tolist()
+    if len(blocks) == 1:
+        cnt = last[t % mod]
+    else:
+        head = _block_counts(blocks[:-1], p, a).tolist()
+        cnt = sum(h * last[(t - i) % mod] for i, h in enumerate(head) if h)
     return Fraction(cnt, p ** (a * (m - 1)))
 
 

@@ -113,6 +113,12 @@ def test_table1(capsys):
     assert all(r["match"] for r in rows)
 
 
+def test_repcount_past_int64(capsys):
+    code, out, _ = run_cli(capsys, "repcount", "--lattice", "D24", "--norm", "76")
+    assert code == 0
+    assert json.loads(out)["result"]["count"] == 11318878100909407680
+
+
 def test_usage_error_exit_1(capsys):
     assert cli.main(["theta", "--lattice", "NOPE"]) == cli.USAGE_ERROR
     assert cli.main(["repcount", "--lattice", "D6"]) == cli.USAGE_ERROR

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latq import lattices as lt
+from latq import qseries as qs
 
 
 def test_standard_dets_and_ranks():
@@ -84,6 +87,8 @@ def test_enumeration_symmetry_and_parity():
         assert set(vs) == {tuple(-x for x in v) for v in vs}
         assert len(vs) % 2 == 0
     assert lt.rep_count(d6, 0) == 1
+    with pytest.raises(ValueError):
+        lt.rep_count(d6, -2)
     assert lt.enumerate_norm(d6, 0) == [(0,) * 6]
 
 
@@ -92,6 +97,40 @@ def test_rep_count_models_match_fincke_pohst():
         fast = lt.theta_counts(L, 5)
         slow = [lt.rep_count(L, 2 * m, method="fincke-pohst") for m in range(5)]
         assert fast == slow
+
+
+def test_d24_counts_are_exact_past_int64():
+    # N_{D24}(76) = 11318878100909407680 > 2^63: the counting table must leave
+    # int64 before it wraps
+    assert lt.theta_counts(lt.D(24), 300) == list(qs.theta_D(24, 300).coeffs)
+    assert lt.rep_count(lt.D(24), 76) == 11318878100909407680
+
+
+def test_counting_model_is_chosen_by_structure():
+    # an A5 Gram matrix labelled "D5" must not be counted with the D5 model
+    relabelled = lt.GramLattice(lt.A(5).gram, "D5")
+    assert lt.rep_count(relabelled, 2) == 30
+    assert lt.theta_counts(relabelled, 3) == lt.theta_counts(lt.A(5), 3)
+    # labels that do not parse fall back to the generic enumerator
+    assert lt.rep_count(lt.GramLattice(lt.D(4).gram, "not a lattice"), 2) == 24
+
+
+def _naive_convolution(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# entries of up to `bits` bits, so that both sides of the int64 guard occur
+_int_lists = st.integers(0, 62).flatmap(lambda bits: st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=12))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_int_lists, _int_lists)
+def test_convolve_exact_matches_naive(a, b):
+    assert [int(x) for x in lt._convolve_exact(a, b)] == _naive_convolution(a, b)
 
 
 def test_divisor_reflection_invariance():

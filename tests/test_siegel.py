@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latq import lattices as lt
 from latq import siegel as sg
@@ -73,6 +75,12 @@ def test_zagier_L_interval_vs_functional_equation():
         lo, hi = sg.zagier_L_numeric(2, delta, terms=20000)
         exact = -2 * math.pi**2 * delta ** (-1.5) * float(sg.cohen_H(2, delta))
         assert lo - 1e-12 <= exact <= hi + 1e-12, (delta, lo, exact, hi)
+
+
+def test_zagier_L_refuses_other_points():
+    for s in (1.5, 3, 4.0):
+        with pytest.raises(ValueError):
+            sg.zagier_L_numeric(s, 5)
 
 
 def test_bernoulli_numbers():
@@ -178,6 +186,23 @@ def test_oracle_form_scaling_identities():
         assert sg.local_density_oracle(3, a, m, t) == sg.local_density_oracle(3, a, m2, 2 * t)
         a = sg._ord(2 * t, 2) + 5
         assert sg.local_density_oracle(2, a, m2, 2 * t) == 2 * sg.local_density_oracle(2, a, m, t)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(sg.FORMS)), st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 1), (3, 2), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)]), st.integers(1, 60))
+def test_oracle_direct_route_matches_cached_route(key, level, t):
+    p, a = level
+    assert sg.local_density_oracle(p, a, sg.FORMS[key].s_matrix, t) == sg.local_density_oracle(p, a, key, t)
+
+
+def test_oracle_rank_one_form_counts_squares():
+    # a single block: the direct route reads the block distribution itself
+    for c, p, a in [(Fraction(1), 3, 3), (Fraction(3), 5, 2), (Fraction(1, 2), 3, 4), (Fraction(2), 2, 5)]:
+        mod = p**a
+        c_mod = c.numerator * pow(c.denominator, -1, mod)
+        for t in range(8):
+            expect = sum(1 for x in range(mod) if (c_mod * x * x - t) % mod == 0)
+            assert sg.local_density_oracle(p, a, ((c,),), t) == expect
 
 
 def test_oracle_stabilization_reporting():
