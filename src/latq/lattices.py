@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt
 
 import numpy as np
@@ -86,7 +86,7 @@ class GramLattice:
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
+    @cached_property
     def det(self) -> int:
         return _det_bareiss(self.gram)
 
@@ -97,7 +97,7 @@ class GramLattice:
     @property
     def is_positive_definite(self) -> bool:
         try:
-            _cholesky(self.gram)
+            _cholesky_cached(self.gram)
             return True
         except ValueError:
             return False

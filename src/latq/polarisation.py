@@ -9,12 +9,17 @@ c mod f in h = f*v + c*l (gcd(c, f) = 1, l the norm -2t generator).  The
 orbit count is therefore the number of admissible residues c, which the
 oracle counts directly from the congruence f^2 | d + c^2 t; the case-split
 closed formulas are checked against it.
+
+The closed formulas factor through `siegel._factor`, the one factorisation
+in latq; the oracles count residues and factor nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+
+from .siegel import _factor
 
 __all__ = [
     "PolarisationQuery",
@@ -103,28 +108,14 @@ def orbit_count_oracle(t: int, d: int, f: int) -> int:
 
 
 def _rho(n: int) -> int:
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            count += 1
-            while n % d == 0:
-                n //= d
-        d += 1
-    return count + (1 if n > 1 else 0)
+    """The number of distinct primes dividing n."""
+    return len(list(_factor(n)))
 
 
 def _phi(n: int) -> int:
     out = n
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out -= out // d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out -= out // n
+    for p, _ in _factor(n):
+        out -= out // p
     return out
 
 
@@ -132,25 +123,10 @@ def _w_split(w: int, f1: int):
     """w = w_plus * w_minus, w_plus the maximal-prime-power part of w at
     primes dividing f1."""
     w_plus = 1
-    rem = w
-    d = 2
-    while d * d <= rem or (rem > 1 and d <= rem):
-        if rem % d == 0:
-            power = 1
-            while rem % d == 0:
-                rem //= d
-                power *= d
-            if f1 % d == 0:
-                w_plus *= power
-        d += 1
-        if rem == 1:
-            break
+    for p, e in _factor(w):
+        if f1 % p == 0:
+            w_plus *= p**e
     return w_plus, w // w_plus
-
-
-def _is_square_mod(a: int, mod: int) -> bool:
-    a %= mod
-    return any((x * x - a) % mod == 0 for x in range(mod))
 
 
 def orbit_count_formula(t: int, d: int, f: int) -> OrbitReport:

@@ -17,6 +17,12 @@ arithmetic:
   * the assembled representation numbers r(t) with two independent routes
     (exact Cohen-number route, numeric L-value route) that must agree.
 
+Every factorisation in latq (square-free kernels, b_n, divisors, Moebius,
+and the polarisation counts) is read off the one trial division `_factor`,
+and every integer p-adic valuation is `_ord`.  The brute-force b_n and the
+counting oracle factor nothing, so they stay independent of the closed
+forms they certify.
+
 Densities are normalized as limits of p^{-a(m-1)} #{X mod p^a : S(X) = t}.
 """
 
@@ -98,26 +104,46 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def _ord(n: int, p: int) -> int:
+    """The exponent of the prime p in n != 0."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def _factor(n: int):
+    """Yield (p, e) with n = prod p^e and p increasing, for n >= 1.
+
+    Trial division by 2 and then by odd d with d^2 <= n; this is the only
+    factorisation in latq.  The pairs come lazily, so a caller that stops
+    early (b_n on a zero local count) also stops the trial division.
+    """
+    if n < 1:
+        raise ValueError("only a positive integer has a factorisation")
+    d, step = 2, 1
+    while d * d <= n:
+        if n % d == 0:
+            e = _ord(n, d)
+            yield d, e
+            n //= d**e
+        d += step
+        step = 2
+    if n > 1:
+        yield n, 1
+
+
 def _squarefree_kernel(n: int):
     """(k, s) with n = k * s^2 and k squarefree (sign carried by k)."""
     if n == 0:
         raise ValueError("kernel of 0 is undefined")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    k, s = 1, 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e:
-            s *= d ** (e // 2)
-            if e % 2:
-                k *= d
-        d += 1
-    k *= n
-    return sign * k, s
+    k, s = (-1 if n < 0 else 1), 1
+    for p, e in _factor(abs(n)):
+        s *= p ** (e // 2)
+        if e % 2:
+            k *= p
+    return k, s
 
 
 def field_discriminant(n: int) -> int:
@@ -143,22 +169,9 @@ def decompose_t(t: int, det_a: int):
     if t < 1:
         raise ValueError("t must be positive")
     t_a = 1
-    rest = t
-    d = 2
-    m = abs(det_a)
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            while rest % d == 0:
-                rest //= d
-                t_a *= d
-        d += 1
-    if m > 1:
-        while rest % m == 0:
-            rest //= m
-            t_a *= m
-    t1, t2 = _squarefree_kernel(rest)
+    for p, _ in _factor(abs(det_a)):
+        t_a *= p ** _ord(t, p)
+    t1, t2 = _squarefree_kernel(t // t_a)
     return t_a, t1, t2
 
 
@@ -188,17 +201,12 @@ def discriminant_of(form: "OddForm", t: int) -> ZagierDiscriminant:
 
 def _sqrt_count_mod_pp(delta: int, p: int, e: int) -> int:
     """#{x mod p^e : x^2 = delta mod p^e} for delta != 0."""
-    if e == 0:
-        return 1
-    j = 0
-    d = delta
-    while d % p == 0:
-        d //= p
-        j += 1
-        if j >= e:
-            return p ** (e // 2)
+    j = _ord(delta, p)
+    if j >= e:
+        return p ** (e // 2)
     if j % 2:
         return 0
+    d = delta // p**j
     scale = p ** (j // 2)
     r = e - j
     if p != 2:
@@ -211,26 +219,18 @@ def _sqrt_count_mod_pp(delta: int, p: int, e: int) -> int:
 
 
 def b_n(delta: int, n: int) -> int:
-    """#{x mod 2n : x^2 = delta mod 4n}."""
+    """#{x mod 2n : x^2 = delta mod 4n}; 0 for n < 1."""
     if delta % 4 not in (0, 1):
         raise ValueError("delta must be 0 or 1 mod 4")
     if delta == 0:
         raise ValueError("delta = 0 is not supported")
+    if n < 1:
+        return 0
     total = 1
-    m = 4 * n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            total *= _sqrt_count_mod_pp(delta, d, e)
-            if total == 0:
-                return 0
-        d += 1
-    if m > 1:
-        total *= _sqrt_count_mod_pp(delta, m, 1)
+    for p, e in _factor(4 * n):
+        total *= _sqrt_count_mod_pp(delta, p, e)
+        if total == 0:
+            return 0
     return total // 2
 
 
@@ -316,31 +316,17 @@ def cohen_H(m1: int, delta: int) -> Fraction:
 
 
 def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    out = [1]
+    for p, e in _factor(n):
+        out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
 
 
 def _moebius(n: int) -> int:
-    k, s = _squarefree_kernel(n)
-    if s != 1:
+    fac = tuple(_factor(n))
+    if any(e > 1 for _, e in fac):
         return 0
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            count += 1
-            n //= d
-        d += 1
-    if n > 1:
-        count += 1
-    return -1 if count % 2 else 1
+    return -1 if len(fac) % 2 else 1
 
 
 def _sigma(k: int, n: int) -> int:
@@ -385,11 +371,8 @@ def alpha_regular(p: int, t: int, m: int, det_a: int) -> Fraction:
     """Local density at a prime p not dividing det A (classical formula)."""
     if det_a % p == 0:
         raise ValueError("p divides det A; use the counting oracle")
-    l = 0
-    tt = t
-    while tt % p == 0:
-        tt //= p
-        l += 1
+    l = _ord(t, p)
+    tt = t // p**l
     pm = Fraction(1, p ** (m - 1))
     if l % 2:
         return (1 - pm) * sum(Fraction(1, p ** ((m - 2) * j)) for j in range((l + 1) // 2))
@@ -397,14 +380,6 @@ def alpha_regular(p: int, t: int, m: int, det_a: int) -> Fraction:
     head = sum(Fraction(1, p ** ((m - 2) * j)) for j in range(l // 2))
     last = Fraction(1, p ** ((m - 2) * (l // 2))) / (1 - eps * Fraction(1, p ** ((m - 1) // 2)))
     return (1 - pm) * (head + last)
-
-
-def _ord(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
 
 
 def _parity_sign(D: int) -> int:
@@ -530,15 +505,7 @@ FORMS = {
 def _val_p(x: Fraction, p: int):
     if x == 0:
         return math.inf
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _ord(x.numerator, p) - _ord(x.denominator, p)
 
 
 def jordan_split(s_matrix, p: int):

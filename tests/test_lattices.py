@@ -133,6 +133,15 @@ def test_convolve_exact_matches_naive(a, b):
     assert [int(x) for x in lt._convolve_exact(a, b)] == _naive_convolution(a, b)
 
 
+def test_det_is_computed_once(monkeypatch):
+    gram, calls, bareiss = lt.A(5).gram, [], lt._det_bareiss
+    monkeypatch.setattr(lt, "_det_bareiss", lambda g: calls.append(g) or bareiss(g))
+    a5 = lt.GramLattice(gram, "A5")
+    assert (a5.det, repr(a5), lt.discriminant_group(a5).order) == (6, "GramLattice(A5, rank=5, det=6)", 6)
+    assert lt.is_isometric(a5, a5) and a5.is_positive_definite
+    assert len(calls) == 1
+
+
 def test_divisor_reflection_invariance():
     rng = random.Random(7)
     e7 = lt.E7()

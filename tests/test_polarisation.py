@@ -1,6 +1,8 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latq import lattices as lt
 from latq import polarisation as po
@@ -41,6 +43,29 @@ def test_formula_matches_oracle_sweep():
             for f in divisors_of_gcd(t, d):
                 rep = po.orbit_count_formula(t, d, f)
                 assert rep.count == po.orbit_count_oracle(t, d, f), (t, d, f)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 2000), st.integers(1, 2000))
+def test_factor_helpers_match_brute_force(n, f1):
+    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+    assert po._rho(n) == len(primes)
+    assert po._phi(n) == sum(1 for x in range(1, n + 1) if gcd(x, n) == 1)
+    # the part of n on the primes of f1 is gcd(n, f1^k) for any k >= log2(n)
+    w_plus = gcd(n, f1**11)
+    assert po._w_split(n, f1) == (w_plus, n // w_plus)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 300), st.integers(1, 300), st.data())
+def test_formulas_match_oracles_drawn(t, d, data):
+    f = data.draw(st.sampled_from(divisors_of_gcd(t, d)))
+    assert po.orbit_count_formula(t, d, f).count == po.orbit_count_oracle(t, d, f)
+    if po.PolarisationQuery.build(t, d, f).w == 1:
+        assert po.stable_index_formula(t, d, f) == po.stable_index_oracle(t, d, f)
+    else:
+        with pytest.raises(po.HypothesisViolation):
+            po.stable_index_formula(t, d, f)
 
 
 def test_multiplicity_dichotomy():

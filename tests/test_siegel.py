@@ -1,12 +1,15 @@
 import math
 import random
 from fractions import Fraction
+from functools import cache
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latq import lattices as lt
+from latq import polarisation as po
 from latq import siegel as sg
 
 
@@ -50,6 +53,52 @@ def test_discriminant_helpers():
         sg.split_discriminant(7)
 
 
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def _is_squarefree(n):
+    return all(n % (d * d) for d in range(2, isqrt(abs(n)) + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 10**7))
+def test_factor_is_the_prime_factorisation(n):
+    fac = list(sg._factor(n))
+    assert math.prod(p**e for p, e in fac) == n
+    primes = [p for p, _ in fac]
+    assert all(a < b for a, b in zip(primes, primes[1:]))
+    assert all(_is_prime(p) and e >= 1 for p, e in fac)
+
+
+def test_factor_refuses_nonpositive():
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            list(sg._factor(n))
+
+
+@cache
+def _moebius_by_divisor_sums(n):
+    # sum_{d | n} mu(d) = [n == 1]
+    return 1 if n == 1 else -sum(_moebius_by_divisor_sums(d) for d in range(1, n) if n % d == 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 2000), st.integers(0, 3))
+def test_divisor_helpers_match_brute_force(n, k):
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    assert sg._divisors(n) == divisors
+    assert sg._sigma(k, n) == sum(d**k for d in divisors)
+    assert sg._moebius(n) == _moebius_by_divisor_sums(n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-2000, 2000).filter(bool))
+def test_squarefree_kernel_matches_definition(n):
+    k, s = sg._squarefree_kernel(n)
+    assert k * s * s == n and s >= 1 and _is_squarefree(k)
+
+
 def test_decompose_t():
     assert sg.decompose_t(12, 6) == (12, 1, 1)
     assert sg.decompose_t(15, 32) == (1, 15, 1)  # odd squarefree, coprime to 2
@@ -61,13 +110,53 @@ def test_decompose_t():
     assert t_a * t1 * t2 * t2 == 60
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 10**6), st.integers(-(10**4), 10**4).filter(bool))
+def test_decompose_t_properties(t, det_a):
+    t_a, t1, t2 = sg.decompose_t(t, det_a)
+    assert t == t_a * t1 * t2 * t2
+    assert t1 >= 1 and _is_squarefree(t1)
+    # t_A is exactly the part of t on the primes of det_a
+    assert pow(det_a, 64, t_a) == 0
+    assert gcd(t // t_a, det_a) == 1
+
+
 def test_b_n_values_and_bruteforce():
     assert all(sg.b_n(delta, 1) == 1 for delta in (1, 5, 8, 12, 24, 33))
     assert sg.b_n(1, 3) == 2
     assert sg.b_n(5, 2) == 0
     for delta in (1, 5, 8, 12, 24, 33, 40):
-        for n in range(1, 120):
+        for n in range(-2, 120):  # n <= 0 counts nothing
             assert sg.b_n(delta, n) == sg.b_n_bruteforce(delta, n), (delta, n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(-(10**4), 10**4).filter(lambda d: d != 0 and d % 4 in (0, 1)), st.integers(1, 500))
+def test_b_n_matches_bruteforce(delta, n):
+    assert sg.b_n(delta, n) == sg.b_n_bruteforce(delta, n)
+
+
+def test_oracles_do_not_factor(monkeypatch):
+    # the oracles certify the factorising closed forms, so they must stay
+    # independent of the one factorisation
+    def oracle_values():
+        return (
+            sg.b_n_bruteforce(-31, 45),
+            po.orbit_count_oracle(6, 3, 3),
+            po.stable_index_oracle(10, 5, 1),
+            po.disc_auto_order(30),
+            sg.local_density_oracle(3, 4, "A5", 6),
+            sg.local_density_oracle(5, 2, sg.FORMS["S5"].s_matrix, 10),
+        )
+
+    def refuse(n):
+        raise AssertionError("an oracle called _factor")
+
+    expected = oracle_values()
+    monkeypatch.setattr(sg, "_factor", refuse)
+    monkeypatch.setattr(po, "_factor", refuse)
+    sg._joint_counts.cache_clear()
+    assert oracle_values() == expected
 
 
 def test_zagier_L_interval_vs_functional_equation():
