@@ -8,16 +8,17 @@ is exhaustive over the norm-2d shell, organized by the coordinate model
 E7 = {x in Z^8 union (Z + 1/2)^8 : sum x_i = 0} whose vectors are doubled to
 integer 8-tuples of constant parity; permutation-symmetry classes (sorted
 tuples) cut the work by orders of magnitude without losing exhaustiveness.
+A class's lex-smallest witness is built, not searched: at most 8 candidates
+(one per first coordinate, the rest in descending order) instead of 8!.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
-
-import numpy as np
+from math import factorial, isqrt
 
 from .lattices import E7, E7_SIMPLE_DOUBLED, counts_e7, enumerate_norm, inner
 from .qseries import theta_A, theta_D
@@ -144,8 +145,6 @@ def _sorted_shells(total_sq: int, parity: int):
 def _class_root_count(z) -> int:
     """Orthogonal-root count of a shell class (permutation invariant)."""
     # integer roots e_i - e_j: orthogonal iff z_i = z_j
-    from collections import Counter
-
     counts = Counter(z)
     n_int = sum(m * (m - 1) for m in counts.values())
     # half-vector roots: subsets P of size 4 with sum_P z = 0 give +/- pair
@@ -157,14 +156,9 @@ def _class_root_count(z) -> int:
 
 
 def _class_size(z) -> int:
-    from collections import Counter
-
-    size = 1
-    for k in range(1, 9):
-        size *= k
+    size = factorial(8)
     for m in Counter(z).values():
-        for k in range(1, m + 1):
-            size //= k
+        size //= factorial(m)
     return size
 
 
@@ -202,31 +196,25 @@ def _shell_classes(d: int):
     return shell, per_class
 
 
-@lru_cache(maxsize=1)
-def _perm_matrix():
-    return np.array(list(itertools.permutations(range(8))), dtype=np.int64)
-
-
 def _lex_min_witness(classes) -> tuple:
     """Lexicographically smallest simple-root coordinate tuple over all
-    coordinate permutations of the given shell classes."""
-    perms = _perm_matrix()
-    v7 = np.array(E7_SIMPLE_DOUBLED[6], dtype=np.int64)
+    coordinate permutations of the given shell classes.
+
+    lambda_7 = z_0 and lambda_i = lambda_{i-1} - (z_i - z_0 * v7_i) / 2, so
+    with z_0 fixed each lambda_i falls as z_i grows and the lex-min puts the
+    other seven values in descending order: one candidate per distinct z_0.
+    """
     best = None
     for z in classes:
-        arr = np.array(z, dtype=np.int64)[perms]
-        lam7 = arr[:, 0]
-        u = arr - lam7[:, None] * v7[None, :]
-        pref = np.cumsum(u[:, 1:7], axis=1)
-        if (pref & 1).any():
+        # all permutations lie in the lattice iff one parity and sum zero
+        if sum(z) or len({zi % 2 for zi in z}) != 1:
             raise AssertionError("shell class left the lattice")
-        lam = np.empty((arr.shape[0], 7), dtype=np.int64)
-        lam[:, :6] = -pref // 2
-        lam[:, 6] = lam7
-        idx = np.lexsort(lam[:, ::-1].T)
-        cand = tuple(int(x) for x in lam[idx[0]])
-        if best is None or cand < best:
-            best = cand
+        desc = sorted(z, reverse=True)
+        for z0 in set(z):
+            i = desc.index(z0)
+            cand = doubled_to_lambda((z0, *desc[:i], *desc[i + 1 :]))
+            if best is None or cand < best:
+                best = cand
     # exact reconstruction check on the chosen witness
     if doubled_to_lambda(lambda_to_doubled(best)) != best:
         raise AssertionError("witness does not round-trip through the doubled model")

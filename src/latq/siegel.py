@@ -369,6 +369,8 @@ def alpha_infinity(t, m: int, det_a: int) -> ArchimedeanDensity:
 
 def alpha_regular(p: int, t: int, m: int, det_a: int) -> Fraction:
     """Local density at a prime p not dividing det A (classical formula)."""
+    if t < 1:
+        raise ValueError("t must be positive")
     if det_a % p == 0:
         raise ValueError("p divides det A; use the counting oracle")
     l = _ord(t, p)
@@ -389,6 +391,8 @@ def _parity_sign(D: int) -> int:
 
 def alpha2_S5(t: int) -> Fraction:
     """2-adic density of x1^2+...+x5^2 at t."""
+    if t < 1:
+        raise ValueError("t must be positive")
     b = _ord(t, 2) // 2
     D = field_discriminant(t)
     chi = kronecker(D, 2)
@@ -402,6 +406,8 @@ def alpha2_S5(t: int) -> Fraction:
 
 def alpha2_A1D4(t: int) -> Fraction:
     """2-adic density of the A1+D4 form at t."""
+    if t < 1:
+        raise ValueError("t must be positive")
     b = _ord(t, 2) // 2
     D = field_discriminant(t)
     chi = kronecker(D, 2)
@@ -415,6 +421,8 @@ def alpha2_A1D4(t: int) -> Fraction:
 
 def alpha2_A5(t: int) -> Fraction:
     """2-adic density of the A5 form at t."""
+    if t < 1:
+        raise ValueError("t must be positive")
     b = _ord(t, 2) // 2
     D = field_discriminant(3 * t)
     chi = kronecker(D, 2)
@@ -440,6 +448,8 @@ def alpha3_A5(t: int) -> Fraction:
     coordinate gives the finite closed form below (certified against the
     counting oracle).
     """
+    if t < 1:
+        raise ValueError("t must be positive")
     c = _ord(t, 3)
     tp = t // 3**c
     gamma = c // 2

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +126,32 @@ def test_repcount_past_int64(capsys):
 def test_usage_error_exit_1(capsys):
     assert cli.main(["theta", "--lattice", "NOPE"]) == cli.USAGE_ERROR
     assert cli.main(["repcount", "--lattice", "D6"]) == cli.USAGE_ERROR
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verdict", "--d", "0"), cli.USAGE_ERROR),
+        (("verdict", "--d", "-3"), cli.USAGE_ERROR),
+        (("e7-search", "--d", "0"), cli.USAGE_ERROR),
+        (("siegel", "--form", "S5", "--t", "0"), cli.USAGE_ERROR),
+        (("index", "--t", "4", "--d", "4", "--f", "4"), cli.REFUSED),
+    ],
+)
+def test_bad_input_exit_codes(capsys, argv, code):
+    assert run_cli(capsys, *argv)[0] == code
+
+
+def test_bad_input_exit_code_under_optimize():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "latq.cli", "verdict", "--d", "0"],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == cli.USAGE_ERROR
+    assert proc.stdout == b""
 
 
 def test_cache_roundtrip_and_recovery(tmp_path, capsys):

@@ -239,6 +239,17 @@ def test_closed_alphas_match_oracle_small():
         assert sg.alpha3_A5(t) == sg.oracle_alpha("A5", 3, t)
 
 
+@pytest.mark.parametrize("t", [0, -4])
+@pytest.mark.parametrize(
+    "density",
+    [sg.alpha2_S5, sg.alpha2_A1D4, sg.alpha2_A5, sg.alpha3_A5, lambda t: sg.alpha_regular(5, t, 5, 32)],
+    ids=["alpha2_S5", "alpha2_A1D4", "alpha2_A5", "alpha3_A5", "alpha_regular"],
+)
+def test_closed_alphas_refuse_nonpositive_t(density, t):
+    with pytest.raises(ValueError, match="t must be positive"):
+        density(t)
+
+
 def test_alpha_values_pinned():
     assert sg.alpha2_S5(1) == Fraction(5, 8)
     assert sg.alpha2_A1D4(1) == Fraction(13, 16)
