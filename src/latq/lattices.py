@@ -2,9 +2,10 @@
 
 Lattices are given by integer Gram matrices in a fixed basis.  Everything in
 this module works over exact integers / rationals: determinants use Bareiss
-elimination, short-vector enumeration uses a Fraction-valued Cholesky
-decomposition (Fincke-Pohst), kernels and discriminant groups use integer
-normal forms.  No floating point enters any decision path.
+elimination, short vectors come from one integer Fincke-Pohst walk over an
+LDL^T decomposition whose denominators are cleared once, kernels and
+discriminant groups use integer normal forms.  No floating point enters any
+decision path.
 
 Vector counts of the standard root lattices come from Z^k coordinate models
 (one dynamic-programming kernel, one exact convolution).  A model is chosen
@@ -19,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -97,7 +98,7 @@ class GramLattice:
     @property
     def is_positive_definite(self) -> bool:
         try:
-            _cholesky_cached(self.gram)
+            _cholesky(self.gram)
             return True
         except ValueError:
             return False
@@ -321,15 +322,14 @@ def _det_bareiss(gram) -> int:
 
 
 @lru_cache(maxsize=256)
-def _cholesky_cached(gram):
-    return _cholesky(gram)
-
-
 def _cholesky(gram):
-    """Fraction-valued decomposition q with
-    x^T G x = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2.
+    """Integers (s, w, m, c) with
+    s * x^T G x = sum_i w_i (m_i x_i + sum_{j>i} c_ij x_j)^2,  s, w_i, m_i > 0.
 
-    Raises ValueError unless G is positive definite.
+    The rational LDL^T form x^T G x = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
+    is computed once; m_i clears the denominators of the row u_i and s those
+    of every d_i / m_i^2.  c[i] holds c_ij for j > i only.  Raises ValueError
+    unless G is positive definite.
     """
     n = len(gram)
     q = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
@@ -343,9 +343,11 @@ def _cholesky(gram):
             for l in range(k, n):
                 q[k][l] = q[k][l] - q[k][i] * q[i][l]
                 q[l][k] = q[k][l]
-    d = tuple(q[i][i] for i in range(n))
-    u = tuple(tuple(q[i][j] for j in range(n)) for i in range(n))
-    return d, u
+    m = [lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    s = lcm(*((q[i][i] / m[i] ** 2).denominator for i in range(n)))
+    w = tuple(int(s * q[i][i] / m[i] ** 2) for i in range(n))
+    c = tuple(tuple(int(m[i] * q[i][j]) for j in range(i + 1, n)) for i in range(n))
+    return s, w, tuple(m), c
 
 
 def inner(L: GramLattice, v, w) -> int:
@@ -374,7 +376,40 @@ def divisor(L: GramLattice, v) -> int:
 
 
 # ---------------------------------------------------------------------------
-# short vectors (Fincke-Pohst over exact rationals)
+# short vectors (integer Fincke-Pohst)
+
+
+def _short_vectors(L: GramLattice, bound: int):
+    """All lattice vectors of norm <= bound (positive definite L only), in one
+    walk: out[k] is the sorted list of coordinate tuples of norm k.
+
+    With s * x^T G x = sum_i w_i y_i^2 and y_i = m_i x_i + t_i, where
+    t_i = sum_{j>i} c_ij x_j, the coordinates are fixed from the last to the
+    first.  rem is what is left of s * bound, so |y_i| <= isqrt(rem // w_i)
+    bounds x_i by two floor divisions, and every x_0 in range closes a vector.
+    """
+    if bound < 0:
+        raise ValueError("norm must be nonnegative")
+    s, w, m, c = _cholesky(L.gram)
+    top = s * bound
+    out = [[] for _ in range(bound + 1)]
+    coords = [0] * L.rank
+
+    def descend(i, rem):
+        t = sum(cij * x for cij, x in zip(c[i], coords[i + 1 :]))
+        r = isqrt(rem // w[i])
+        for x in range(-((r + t) // m[i]), (r - t) // m[i] + 1):
+            coords[i] = x
+            left = rem - w[i] * (m[i] * x + t) ** 2
+            if i:
+                descend(i - 1, left)
+            else:
+                out[(top - left) // s].append(tuple(coords))
+
+    descend(L.rank - 1, top)
+    for vecs in out:
+        vecs.sort()
+    return out
 
 
 def enumerate_norm(L: GramLattice, n: int):
@@ -383,51 +418,7 @@ def enumerate_norm(L: GramLattice, n: int):
     Returns a deterministically ordered list of coordinate tuples, closed
     under negation; [()] placeholder semantics: n = 0 yields the zero vector.
     """
-    if n < 0:
-        raise ValueError("norm must be nonnegative")
-    d, u = _cholesky_cached(L.gram)
-    if n == 0:
-        return [tuple([0] * L.rank)]
-    out = []
-    rank = L.rank
-    target = Fraction(n)
-
-    coords = [0] * rank
-
-    def descend(i, remaining):
-        # remaining = target - sum_{k>i} d_k (x_k + offsets)^2
-        centre = -sum(u[i][j] * coords[j] for j in range(i + 1, rank))
-        bound = remaining / d[i]
-        # |x_i - centre| <= sqrt(bound)
-        hi = _floor_centre_plus_sqrt(centre, bound)
-        lo = -_floor_centre_plus_sqrt(-centre, bound)
-        for x in range(lo, hi + 1):
-            coords[i] = x
-            term = d[i] * (Fraction(x) - centre) ** 2
-            rem = remaining - term
-            if rem < 0:
-                continue
-            if i == 0:
-                if rem == 0:
-                    out.append(tuple(coords))
-            else:
-                descend(i - 1, rem)
-        coords[i] = 0
-
-    descend(rank - 1, target)
-    out.sort()
-    return out
-
-
-def _floor_centre_plus_sqrt(centre: Fraction, bound: Fraction) -> int:
-    """floor(centre + sqrt(bound)) computed exactly (bound >= 0)."""
-    num, den = bound.numerator, bound.denominator
-    s_up = Fraction(isqrt(num * den) + 1, den)  # rational upper bound on sqrt
-    t = centre + s_up
-    k = t.numerator // t.denominator
-    while Fraction(k) - centre > 0 and (Fraction(k) - centre) ** 2 > bound:
-        k -= 1
-    return k
+    return _short_vectors(L, n)[n]
 
 
 def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
@@ -472,7 +463,8 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
         c = _model_counts(L, max(prec, 1))
         if c is not None:
             return list(c[:prec])
-    return [rep_count(L, 2 * m, method="fincke-pohst") for m in range(prec)]
+    vecs = _short_vectors(L, 2 * max(prec - 1, 0))
+    return [len(vecs[2 * m]) for m in range(prec)]
 
 
 # -- fast exact counting models for standard lattices -----------------------
@@ -725,21 +717,24 @@ def _mat_mul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(inner_)) for j in range(cols)] for i in range(rows)]
 
 
-def is_isometric(L1: GramLattice, L2: GramLattice, max_rank: int = 8) -> bool:
-    """Backtracking isometry test for positive-definite lattices of rank <= max_rank."""
+ISOMETRY_MAX_RANK = 8
+
+
+def is_isometric(L1: GramLattice, L2: GramLattice) -> bool:
+    """Backtracking isometry test for positive-definite lattices of rank
+    <= ISOMETRY_MAX_RANK."""
     if L1.rank != L2.rank:
         return False
-    if L1.rank > max_rank:
-        raise ValueError(f"rank {L1.rank} exceeds the configured cap {max_rank}")
+    if L1.rank > ISOMETRY_MAX_RANK:
+        raise ValueError(f"rank {L1.rank} exceeds the cap {ISOMETRY_MAX_RANK}")
     if L1.det != L2.det:
         return False
     if not (L1.is_positive_definite and L2.is_positive_definite):
         raise ValueError("is_isometric expects positive-definite lattices")
     norms = sorted({L1.gram[i][i] for i in range(L1.rank)})
-    cands = {n: enumerate_norm(L2, n) for n in norms}
-    for n in norms:
-        if len(cands[n]) != len(enumerate_norm(L1, n)):
-            return False
+    short1, cands = _short_vectors(L1, norms[-1]), _short_vectors(L2, norms[-1])
+    if any(len(cands[n]) != len(short1[n]) for n in norms):
+        return False
     g1, g2 = L1.gram, L2.gram
     rank = L1.rank
     # precompute Gram-image rows for candidate filtering
@@ -898,10 +893,7 @@ class DiscriminantGroup:
 
     @property
     def order(self) -> int:
-        o = 1
-        for d in self.invariant_factors:
-            o *= d
-        return o
+        return prod(self.invariant_factors)
 
     @property
     def is_cyclic(self) -> bool:
@@ -924,7 +916,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
         col = [Fraction(v[r][i], d) for r in range(n)]
         facs.append(d)
         gens.append(tuple(col))
-    if _prod(facs) != dets:
+    if prod(facs) != dets:
         raise AssertionError("invariant factor product mismatch")
     qv = []
     for gvec in gens:
@@ -942,10 +934,3 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
 def _bilinear_fraction(g, a, b) -> Fraction:
     n = len(g)
     return sum(a[i] * g[i][j] * b[j] for i in range(n) for j in range(n))
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 
 from .lattices import GramLattice, theta_counts
 
@@ -123,7 +124,7 @@ class QSeries:
     def _common(self, other):
         if not isinstance(other, QSeries):
             raise TypeError("expected a QSeries")
-        grid = _lcm(self.grid, other.grid)
+        grid = lcm(self.grid, other.grid)
         prec = min(self.prec, other.prec)
         return self.regrid(grid).truncate(prec), other.regrid(grid).truncate(prec)
 
@@ -170,13 +171,8 @@ class QSeries:
             raise ValueError("inverse over the Eisenstein ring is not supported")
         if c0 not in (1, -1):
             raise ValueError("constant coefficient must be a unit")
-        n = self.units
-        inv = [0] * n
-        inv[0] = c0
-        for k in range(1, n):
-            s = sum(self.coeffs[i] * inv[k - i] for i in range(1, k + 1) if self.coeffs[i])
-            inv[k] = -c0 * s
-        return QSeries(self.grid, self.prec, tuple(inv))
+        one = QSeries(self.grid, self.prec, (1,) + (0,) * (self.units - 1))
+        return _divide_exact(one, self)
 
     def truncate(self, prec: int):
         if prec > self.prec:
@@ -220,12 +216,6 @@ class QSeries:
     def integer_coefficients(self):
         """Coefficient list on the integer grid (asserts integrality)."""
         return list(self.rationalize().to_integer_grid().coeffs)
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -708,20 +708,17 @@ def _block_counts(blocks, p: int, a: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _blocks_for(key: str, p: int, doubled: bool = False):
-    mat = FORMS[key].s_matrix
-    if doubled:
-        mat = tuple(tuple(2 * x for x in row) for row in mat)
-    _, blocks = jordan_split(mat, p)
+def _blocks_for(key: str, p: int):
+    _, blocks = jordan_split(FORMS[key].s_matrix, p)
     return tuple(blocks)
 
 
 @lru_cache(maxsize=64)
-def _joint_counts(key: str, p: int, a: int, doubled: bool = False) -> tuple:
+def _joint_counts(key: str, p: int, a: int) -> tuple:
     """Counts of S(X) = v mod p^a over (Z/p^a)^m, as a tuple of ints."""
     top = _TOP_LEVEL.get(p, 4)
     if a < top:
-        higher = _joint_counts(key, p, a + 1, doubled)
+        higher = _joint_counts(key, p, a + 1)
         arr = np.array(higher, dtype=object).reshape(p, p ** a)
         folded = arr.sum(axis=0)
         mvars = FORMS[key].m
@@ -732,7 +729,7 @@ def _joint_counts(key: str, p: int, a: int, doubled: bool = False) -> tuple:
                 raise AssertionError("downfolding remainder")
             out.append(q)
         return tuple(out)
-    return tuple(int(x) for x in _block_counts(_blocks_for(key, p, doubled), p, a))
+    return tuple(int(x) for x in _block_counts(_blocks_for(key, p), p, a))
 
 
 _TOP_LEVEL = {2: 12, 3: 8}

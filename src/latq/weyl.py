@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattices import GramLattice, canonical_object, inner, reflection_orbits, roots
+from .lattices import GramLattice, _sign_normalize, canonical_object, inner, reflection_orbits, roots
 
 __all__ = [
     "positive_roots",
@@ -27,18 +27,11 @@ def positive_roots(L: GramLattice):
     seen = set()
     out = []
     for r in roots(L):
-        c = _normalize(r)
+        c = _sign_normalize(r)
         if c not in seen:
             seen.add(c)
             out.append(c)
     return out
-
-
-def _normalize(vec):
-    for c in vec:
-        if c:
-            return tuple(vec) if c > 0 else tuple(-x for x in vec)
-    raise ValueError("zero root")
 
 
 def a1a1_sublattices(L: GramLattice):

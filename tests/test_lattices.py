@@ -1,6 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,8 +48,13 @@ def test_root_counts():
 
 
 def test_u_has_no_short_vectors():
-    with pytest.raises(ValueError):
-        lt.enumerate_norm(lt.U(), 2)
+    for n in (0, 2):
+        with pytest.raises(ValueError):
+            lt.enumerate_norm(lt.U(), n)
+    # U has infinitely many vectors of norm 0, so no theta coefficient exists
+    for prec in (0, 1, 3):
+        with pytest.raises(ValueError):
+            lt.theta_counts(lt.U(), prec)
     assert not lt.U().is_positive_definite
 
 
@@ -89,14 +97,84 @@ def test_enumeration_symmetry_and_parity():
     assert lt.rep_count(d6, 0) == 1
     with pytest.raises(ValueError):
         lt.rep_count(d6, -2)
+    with pytest.raises(ValueError):
+        lt.enumerate_norm(d6, -1)
     assert lt.enumerate_norm(d6, 0) == [(0,) * 6]
 
 
 def test_rep_count_models_match_fincke_pohst():
     for L in (lt.A(5), lt.D(6), lt.E7(), lt.standard_lattice("A1+D4")):
-        fast = lt.theta_counts(L, 5)
-        slow = [lt.rep_count(L, 2 * m, method="fincke-pohst") for m in range(5)]
+        fast = lt.theta_counts(L, 12)
+        slow = [lt.rep_count(L, 2 * m, method="fincke-pohst") for m in range(12)]
         assert fast == slow
+
+
+def _inverse_diagonal(gram):
+    """Diagonal of G^-1, by exact Gauss-Jordan elimination over Fraction."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(gram)]
+    for k in range(n):
+        piv = next(r for r in range(k, n) if a[r][k])
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for r in range(n):
+            if r != k and a[r][k]:
+                a[r] = [x - a[r][k] * y for x, y in zip(a[r], a[k])]
+    return [a[i][n + i] for i in range(n)]
+
+
+def _brute_force_by_norm(L, bound):
+    """Vectors of norm <= bound, sorted, from the box x_i^2 <= bound * (G^-1)_ii,
+    which holds for them by Cauchy-Schwarz against the dual basis."""
+    box = [isqrt(int(bound * g)) for g in _inverse_diagonal(L.gram)]
+    pts = np.array(list(itertools.product(*(range(-b, b + 1) for b in box))), dtype=np.int64)
+    norms = np.einsum("vi,ij,vj->v", pts, np.array(L.gram, dtype=np.int64), pts)
+    out = [[] for _ in range(bound + 1)]
+    for x, k in zip(pts[norms <= bound].tolist(), norms[norms <= bound].tolist()):
+        out[k].append(tuple(x))
+    return out
+
+
+@st.composite
+def _positive_definite_grams(draw):
+    """U^T G0 U for a unimodular U and a G0 with off-diagonal entries in
+    {-1, 0, 1} and a diagonal that makes it strictly diagonally dominant, hence
+    positive definite; the diagonal's parity makes G0 even when asked."""
+    rank = draw(st.integers(1, 5))
+    even = draw(st.booleans())
+    g = [[0] * rank for _ in range(rank)]
+    for i, j in itertools.combinations(range(rank), 2):
+        g[i][j] = g[j][i] = draw(st.integers(-1, 1))
+    for i in range(rank):
+        d = sum(map(abs, g[i])) + draw(st.integers(1, 2))
+        g[i][i] = d + d % 2 if even else d
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, rank - 1)), draw(st.integers(0, rank - 1))
+        c = draw(st.sampled_from((-1, 1))) if i != j else 0
+        # basis vector j += c * basis vector i: column j, then row j
+        for k in range(rank):
+            g[k][j] += c * g[k][i]
+        for k in range(rank):
+            g[j][k] += c * g[i][k]
+    return lt.GramLattice(tuple(map(tuple, g)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_positive_definite_grams())
+def test_short_vectors_match_brute_force(L):
+    brute = _brute_force_by_norm(L, 8)
+    for n in range(9):
+        assert lt.enumerate_norm(L, n) == brute[n]
+    if L.is_even:
+        for prec in range(6):
+            assert lt.theta_counts(L, prec, method="fincke-pohst") == [len(brute[2 * m]) for m in range(prec)]
+
+
+def test_generic_theta_of_e8_is_the_eisenstein_series():
+    # theta_E8 = E_4 = 1 + 240 sum sigma_3(n) q^n; E8 has no counting model
+    sigma3 = [sum(d**3 for d in range(1, n + 1) if n % d == 0) for n in range(10)]
+    assert lt.theta_counts(lt.E8(), 10, method="fincke-pohst") == [1] + [240 * s for s in sigma3[1:]]
+    assert lt.theta_counts(lt.E8(), 0, method="fincke-pohst") == []
 
 
 def test_d24_counts_are_exact_past_int64():
@@ -220,8 +298,9 @@ def test_orthogonal_complement_rejects_dependent():
 def test_is_isometric_negative_and_cap():
     assert not lt.is_isometric(lt.D(6), lt.direct_sum(lt.A(1), lt.D(4)))  # det 4 vs 8
     assert not lt.is_isometric(lt.D(4), lt.D(6))  # rank mismatch
+    e8a1 = lt.direct_sum(lt.E8(), lt.A(1))
     with pytest.raises(ValueError):
-        lt.is_isometric(lt.E8(), lt.E8(), max_rank=7)
+        lt.is_isometric(e8a1, e8a1)
     with pytest.raises(ValueError):
         lt.is_isometric(lt.U(), lt.U())
 

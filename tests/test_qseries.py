@@ -96,6 +96,7 @@ def test_product_and_inverse():
     inv = prod.inverse()
     one = prod * inv
     assert one.coeffs[0] == 1 and all(c == 0 for c in one.coeffs[1:])
+    assert (-1 * prod).inverse().coeffs == (-1 * inv).coeffs
     with pytest.raises(ValueError):
         (2 * a1).inverse()
 

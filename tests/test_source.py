@@ -15,3 +15,13 @@ def test_cross_checks_survive_optimised_mode():
             if isinstance(node, ast.Assert):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_short_vector_walk_is_integer():
+    # the Fincke-Pohst walk runs on the integer data of `_cholesky`; a
+    # Fraction here would bring back the rational walk it replaced
+    tree = ast.parse((SRC / "lattices.py").read_text())
+    walks = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in ("_short_vectors", "enumerate_norm")]
+    assert len(walks) == 2
+    for fn in walks:
+        assert "Fraction" not in {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)}
