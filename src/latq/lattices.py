@@ -428,10 +428,13 @@ def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
     by its Gram matrix, the standard construction its label names (A_n, D_n,
     E7, even <k> and their direct sums), and Fincke-Pohst otherwise;
     ``method='fincke-pohst'`` forces the generic enumerator.  Counts are
-    exact Python integers, also past int64.
+    exact Python integers, also past int64.  A lattice that is not
+    positive definite is refused at every n, n = 0 included.
     """
     if n < 0:
         raise ValueError("norm must be nonnegative")
+    if not L.is_positive_definite:
+        raise ValueError("rep_count expects a positive-definite lattice")
     if n == 0:
         return 1
     if method == "auto":
@@ -720,9 +723,26 @@ def _mat_mul(a, b):
 ISOMETRY_MAX_RANK = 8
 
 
+def _search_order(gram) -> list:
+    """Basis indices in the order the isometry search places them: a vector
+    of smallest norm first, then always the vector with the most nonzero
+    inner products with those already placed (ties by norm, then index).
+    Every placed vector then cuts down the candidates of the next one as
+    early as possible (the basis ordering of Plesken & Souvignier, J.
+    Symbolic Comput. 24 (1997))."""
+    order: list = []
+    rest = list(range(len(gram)))
+    while rest:
+        i = min(rest, key=lambda i: (-sum(gram[i][j] != 0 for j in order), gram[i][i], i))
+        order.append(i)
+        rest.remove(i)
+    return order
+
+
 def is_isometric(L1: GramLattice, L2: GramLattice) -> bool:
     """Backtracking isometry test for positive-definite lattices of rank
-    <= ISOMETRY_MAX_RANK."""
+    <= ISOMETRY_MAX_RANK: the images of L1's basis vectors, placed in
+    ``_search_order``, are drawn from L2's vectors of the same norm."""
     if L1.rank != L2.rank:
         return False
     if L1.rank > ISOMETRY_MAX_RANK:
@@ -735,29 +755,28 @@ def is_isometric(L1: GramLattice, L2: GramLattice) -> bool:
     short1, cands = _short_vectors(L1, norms[-1]), _short_vectors(L2, norms[-1])
     if any(len(cands[n]) != len(short1[n]) for n in norms):
         return False
-    g1, g2 = L1.gram, L2.gram
+    order = _search_order(L1.gram)
+    g1 = [[L1.gram[a][b] for b in order] for a in order]
     rank = L1.rank
-    # precompute Gram-image rows for candidate filtering
-    gdot = {n: [tuple(sum(g2[i][j] * w[j] for j in range(rank)) for i in range(rank)) for w in cands[n]] for n in norms}
-    chosen: list = []
+    # int64 holds every partial sum of the inner products below unless the
+    # entries are huge; then the same arrays hold Python integers
+    pools = {n: np.array(cands[n], dtype=object) for n in norms}
+    big = max(abs(x) for row in L2.gram for x in row) * max(np.abs(p).max() for p in pools.values()) ** 2
+    dtype = np.int64 if rank * rank * big <= _INT64_MAX else object
+    g2 = np.array(L2.gram, dtype=dtype)
+    pools = {n: p.astype(dtype) for n, p in pools.items()}
+    images = {n: pools[n] @ g2 for n in norms}  # row k: G2 w_k
+    chosen = np.zeros((rank, rank), dtype=dtype)
 
     def place(i):
         if i == rank:
             return True
-        want = [g1[i][j] for j in range(i)]
-        pool = cands[g1[i][i]]
-        rows = gdot[g1[i][i]]
-        for w, gw in zip(pool, rows):
-            ok = True
-            for j in range(i):
-                if sum(gw[k] * chosen[j][k] for k in range(rank)) != want[j]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(w)
-                if place(i + 1):
-                    return True
-                chosen.pop()
+        n = g1[i][i]
+        fits = np.all(images[n] @ chosen[:i].T == np.array(g1[i][:i], dtype=dtype), axis=1)
+        for k in np.flatnonzero(fits):
+            chosen[i] = pools[n][k]
+            if place(i + 1):
+                return True
         return False
 
     return place(0)
@@ -797,82 +816,107 @@ def canonical_object(obj):
 def reflection_orbits(L: GramLattice, objects, generators=None):
     """Partition sublattice descriptors into orbits of the reflection group.
 
-    ``objects``: iterable of root collections (each root a coordinate tuple).
-    ``generators``: reflection vectors to close under; defaults to the basis
-    vectors when the basis consists of roots (then they generate the full
-    Weyl group), otherwise all roots of L.
+    ``objects``: iterable of root collections (each root a coordinate tuple),
+    all of the same size.  ``generators``: reflection vectors to close under;
+    defaults to the basis vectors when the basis consists of roots (then they
+    generate the full Weyl group), otherwise all roots of L.
 
     Returns (orbit_count, orbit_sizes, representatives); representatives are
     the lexicographically smallest canonical object of each orbit and
-    orbit_sizes is sorted descending.
+    orbit_sizes is sorted descending, ties in the order of each orbit's
+    first object.
+
+    The closure runs on arrays: the distinct sign-normalized roots get
+    indices in lexicographic order, an object becomes the sorted tuple of
+    its root indices packed into one int64 key, each generator permutes the
+    roots once and so the object keys, and labels fall to the smallest
+    object index of each orbit by min-label propagation.
     """
-    objs = [canonical_object(o) for o in objects]
-    if len(set(objs)) != len(objs):
+    arr = np.array(list(objects), dtype=np.int64)  # (N, k, n)
+    if arr.ndim != 3 or arr.shape[2] != L.rank:
+        raise ValueError("objects must be equal-size collections of coordinate vectors")
+    count, size = arr.shape[:2]
+    flat = _sign_normalize_rows(arr.reshape(-1, L.rank))
+    _, first, root_of = np.unique(_pack_rows(flat), return_index=True, return_inverse=True)
+    root_rows = flat[first]  # lexicographic order
+    members = np.sort(root_of.reshape(count, size), axis=1)  # canonical objects
+    keys = _pack_rows(members)
+    order = np.argsort(keys, kind="stable")
+    if np.any(keys[order][1:] == keys[order][:-1]):
         raise ValueError("objects are not distinct after canonicalization")
     if generators is None:
         if all(L.gram[i][i] == 2 for i in range(L.rank)):
             generators = [tuple(1 if j == i else 0 for j in range(L.rank)) for i in range(L.rank)]
         else:
             generators = roots(L)
-    index = {o: i for i, o in enumerate(objs)}
-    parent = list(range(len(objs)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    n = L.rank
     gram_np = np.array(L.gram, dtype=np.int64)
-    arr = np.array(objs, dtype=np.int64)  # (N, k, n)
+    moves = []  # per generator: index of each object's image
     for r in generators:
         rv = np.array(r, dtype=np.int64)
         gr = gram_np @ rv
         rr = int(rv @ gr)
-        coeff = 2 * (arr @ gr)
+        if rr == 0:
+            raise ValueError("cannot reflect in an isotropic vector")
+        coeff = 2 * (root_rows @ gr)
         if np.any(coeff % rr):
             raise ValueError("reflection image is not integral")
-        imgs = arr - (coeff // rr)[:, :, None] * rv[None, None, :]
-        # sign-normalize each root: flip rows whose first nonzero entry is < 0
-        flat = imgs.reshape(-1, n)
-        nz = flat != 0
-        first = np.argmax(nz, axis=1)
-        lead = flat[np.arange(flat.shape[0]), first]
-        flat = np.where((lead < 0)[:, None], -flat, flat)
-        imgs = flat.reshape(imgs.shape)
-        # sort the roots inside each object via packed keys
-        packed = _pack_rows(imgs)
-        order = np.argsort(packed, axis=1, kind="stable")
-        imgs = np.take_along_axis(imgs, order[:, :, None], axis=1)
-        for i in range(len(objs)):
-            key = tuple(map(tuple, imgs[i]))
-            j = index.get(key)
-            if j is None:
-                raise ValueError("object set is not closed under the reflection group")
-            union(i, j)
-    groups = {}
-    for i in range(len(objs)):
-        groups.setdefault(find(i), []).append(i)
-    orbits = sorted(groups.values(), key=len, reverse=True)
-    reps = [min(objs[i] for i in orb) for orb in orbits]
-    return len(orbits), [len(o) for o in orbits], reps
+        images = _sign_normalize_rows(root_rows - (coeff // rr)[:, None] * rv)
+        root_keys, image_keys = _pack_rows(np.stack([root_rows, images]))
+        to = _lookup(root_keys, image_keys)
+        obj_keys, moved_keys = _pack_rows(np.stack([members, np.sort(to[members], axis=1)]))
+        moves.append(order[_lookup(obj_keys[order], moved_keys)])
+    # each move is an involution, so a label that no move lowers is the
+    # smallest object index of its orbit; labels[labels] jumps along chains
+    labels = np.arange(count)
+    while True:
+        new = labels
+        for move in moves:
+            new = np.minimum(new, new[move])
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    firsts, orbit_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    rank_of = np.empty(count, dtype=np.int64)
+    rank_of[order] = np.arange(count)
+    smallest = np.full(len(firsts), count)
+    np.minimum.at(smallest, orbit_of, rank_of)
+    by_size = np.lexsort((firsts, -sizes))
+    reps = [tuple(tuple(int(x) for x in root_rows[j]) for j in members[order[smallest[o]]]) for o in by_size]
+    return len(firsts), [int(sizes[o]) for o in by_size], reps
 
 
-def _pack_rows(arr3):
-    """Pack the last axis of small integers into sortable int64 keys."""
-    n = arr3.shape[-1]
-    if np.any(arr3 > 120) or np.any(arr3 < -120):
+def _sign_normalize_rows(rows):
+    """Negate, in place, each row whose first nonzero entry is negative."""
+    nonzero = rows != 0
+    if not nonzero.any(axis=1).all():
+        raise ValueError("zero vector in sublattice descriptor")
+    flip = rows[np.arange(len(rows)), nonzero.argmax(axis=1)] < 0
+    rows[flip] = -rows[flip]
+    return rows
+
+
+def _lookup(sorted_keys, keys):
+    """Positions of keys in the ascending array sorted_keys; ValueError when
+    one is missing, i.e. the objects are not closed under a generator."""
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    if np.any(sorted_keys[at] != keys):
+        raise ValueError("object set is not closed under the reflection group")
+    return at
+
+
+def _pack_rows(arr):
+    """Pack the last axis of an integer array into int64 keys that order the
+    rows lexicographically: row digits are offset by the array's smallest
+    entry, in the base its range needs.  Raises ValueError when the keys
+    would not fit in int64."""
+    lo, hi = int(arr.min()), int(arr.max())
+    base = hi - lo + 1
+    if base ** arr.shape[-1] > _INT64_MAX:
         raise ValueError("coordinates too large to pack")
-    base = np.int64(256)
-    out = np.zeros(arr3.shape[:-1], dtype=np.int64)
-    for i in range(n):
-        out = out * base + (arr3[..., i].astype(np.int64) + 128)
+    out = np.zeros(arr.shape[:-1], dtype=np.int64)
+    for i in range(arr.shape[-1]):
+        out = out * base + (arr[..., i] - lo)
     return out
 
 

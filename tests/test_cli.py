@@ -136,6 +136,8 @@ def test_usage_error_exit_1(capsys):
         (("e7-search", "--d", "0"), cli.USAGE_ERROR),
         (("siegel", "--form", "S5", "--t", "0"), cli.USAGE_ERROR),
         (("index", "--t", "4", "--d", "4", "--f", "4"), cli.REFUSED),
+        (("repcount", "--lattice", "U", "--norm", "0"), cli.USAGE_ERROR),
+        (("repcount", "--lattice", "U", "--norm", "2"), cli.USAGE_ERROR),
     ],
 )
 def test_bad_input_exit_codes(capsys, argv, code):

@@ -1,11 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latq import lattices as lt
@@ -298,11 +298,141 @@ def test_orthogonal_complement_rejects_dependent():
 def test_is_isometric_negative_and_cap():
     assert not lt.is_isometric(lt.D(6), lt.direct_sum(lt.A(1), lt.D(4)))  # det 4 vs 8
     assert not lt.is_isometric(lt.D(4), lt.D(6))  # rank mismatch
+    # equal determinants and equal numbers of vectors of every basis norm of
+    # the first lattice, so only the search can tell them apart
+    z_binary = lt.GramLattice(((1, 0, 0), (0, 3, -1), (0, -1, 3)))
+    diagonal = lt.GramLattice(((1, 0, 0), (0, 2, 0), (0, 0, 4)))
+    skew = lt.GramLattice(((1, -1, -1), (-1, 3, 1), (-1, 1, 5)))
+    assert not lt.is_isometric(z_binary, diagonal)
+    assert not lt.is_isometric(skew, z_binary)
+    # here an image that fits the last placed vector can still clash with an
+    # earlier one, so every constraint must be checked
+    wide = lt.GramLattice(((3, 1, -1, 1), (1, 1, 0, 1), (-1, 0, 3, 0), (1, 1, 0, 3)))
+    assert not lt.is_isometric(wide, lt.GramLattice(((4, -1, -1, 0), (-1, 3, 1, -1), (-1, 1, 2, 0), (0, -1, 0, 1))))
     e8a1 = lt.direct_sum(lt.E8(), lt.A(1))
     with pytest.raises(ValueError):
         lt.is_isometric(e8a1, e8a1)
     with pytest.raises(ValueError):
         lt.is_isometric(lt.U(), lt.U())
+
+
+def test_e8_root_line_complements_are_e7():
+    e8, e7 = lt.E8(), lt.E7()
+    lines = {lt._sign_normalize(r) for r in lt.roots(e8)}
+    assert len(lines) == 120 and (0, 1, 0, 0, 0, 0, 0, 0) in lines
+    assert all(lt.is_isometric(lt.orthogonal_complement(e8, [r]), e7) for r in lines)
+
+
+@st.composite
+def _nonsingular(draw, max_rank=5):
+    """A nonsingular square matrix with entries in {-1, 0, 1}."""
+    n = draw(st.integers(1, max_rank))
+    b = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(lt._det_bareiss(b) != 0)
+    return b
+
+
+@st.composite
+def _unimodular(draw, n):
+    """A product of elementary column operations and one optional sign flip."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.sampled_from((-1, 1))), max_size=6)):
+        if i != j:
+            for row in u:
+                row[i] += c * row[j]
+    if draw(st.booleans()):
+        for row in u:
+            row[0] = -row[0]
+    return u
+
+
+def _congruent(g, u):
+    """u^T g u"""
+    return lt._mat_mul(lt._mat_mul([list(r) for r in zip(*u)], g), u)
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _lattice(g):
+    return lt.GramLattice(lt._freeze(g))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_is_isometric_under_change_of_basis(data):
+    b = data.draw(_nonsingular())
+    g = _congruent(_identity(len(b)), b)
+    u = data.draw(_unimodular(len(b)))
+    assert lt.is_isometric(_lattice(g), _lattice(_congruent(g, u)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_is_isometric_false_when_theta_series_differ(data):
+    # B^T B and B^T S^T S B have the same determinant for unimodular S, and
+    # are isometric when S^T S = 1; otherwise they mostly are not
+    b = data.draw(_nonsingular())
+    n = len(b)
+    sts = _congruent(_identity(n), data.draw(_unimodular(n)))
+    g1, g2 = _congruent(_identity(n), b), _congruent(sts, b)
+    L1, L2 = _lattice(g1), _lattice(_congruent(g2, data.draw(_unimodular(n))))
+    bound = max(g1[k][k] for k in range(n)) + 2
+    theta1, theta2 = ([len(v) for v in lt._short_vectors(L, bound)] for L in (L1, L2))
+    if theta1 != theta2:
+        assert not lt.is_isometric(L1, L2)
+    if sts == _identity(n):
+        assert lt.is_isometric(L1, L2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_smith_normal_form_identity(m):
+    det = lt._det_bareiss(m)
+    assume(det != 0)
+    d, ut, v = lt.smith_normal_form(m)
+    ut_, m_, v_ = (np.array(a, dtype=object) for a in (ut, m, v))
+    assert (ut_ @ m_ @ v_).tolist() == d
+    diag = [d[i][i] for i in range(len(m))]
+    assert prod(diag) == abs(det) and all(x > 0 for x in diag)
+    assert all(diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1))
+    assert abs(lt._det_bareiss(ut)) == abs(lt._det_bareiss(v)) == 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[st.integers(-100, 100)] * 8), min_size=1, max_size=30))
+def test_pack_rows_orders_like_tuples(rows):
+    keys = lt._pack_rows(np.array(rows, dtype=np.int64))
+    assert [rows[i] for i in np.argsort(keys, kind="stable")] == sorted(rows)
+    assert len(set(keys.tolist())) == len(set(rows))
+
+
+def test_pack_rows_rank8_sign_and_range():
+    e = [tuple(int(k == i) for k in range(8)) for i in range(8)]
+    rows = [tuple(-x for x in e[0]), e[0], e[7], tuple(-x for x in e[7]), (2, 2, 4, 5, 4, 3, 2, 1)]
+    keys = lt._pack_rows(np.array(rows, dtype=np.int64))
+    assert [rows[i] for i in np.argsort(keys)] == sorted(rows)
+    assert keys[0] < keys[1]
+    # 301^8 > 2^63: the keys cannot be exact, so packing refuses
+    with pytest.raises(ValueError):
+        lt._pack_rows(np.array([(-150,) + (0,) * 7, (150,) + (0,) * 7], dtype=np.int64))
+
+
+def test_rep_count_refuses_indefinite_at_every_norm():
+    for L in (lt.U(), lt.standard_lattice("E8(-1)"), lt.span(-2), lt.standard_lattice("A1+<-2>")):
+        for n in (0, 2, 4):
+            for method in ("auto", "fincke-pohst"):
+                with pytest.raises(ValueError, match="positive-definite"):
+                    lt.rep_count(L, n, method=method)
+
+
+def test_is_isometric_past_int64():
+    # a badly reduced basis of A2: the norm-2 vectors have coordinates near
+    # 3e9 and the Gram entries pass 2^63, so the search runs on Python ints
+    k = 3 * 10**9
+    skewed = lt.GramLattice(((2, 2 * k + 1), (2 * k + 1, 2 * k * k + 2 * k + 2)))
+    assert lt.is_isometric(lt.A(2), skewed)
 
 
 def test_smith_normal_form_random():

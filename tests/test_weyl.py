@@ -58,3 +58,50 @@ def test_reflection_orbits_of_roots_is_single():
     count, sizes, reps = lt.reflection_orbits(a5, objs)
     assert count == 1
     assert sizes == [15]
+
+
+WEYL_ORDER = {"E7": 2903040, "E8": 696729600}
+# the lexicographically smallest canonical object of each 4A1 class in E8
+E8_4A1_REPS = [
+    ((0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 1, 0, 0, 0, 0), (0, 1, 1, 1, 0, 0, 0, 0)),
+    ((0, 0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1, 0, 0), (0, 0, 0, 1, 0, 0, 0, 0), (2, 2, 4, 5, 4, 3, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+@pytest.mark.parametrize("kind", ["A1+A1", "A2", "4A1"])
+def test_orbit_sizes_divide_weyl_order(name, kind):
+    objects, orbits, sizes = weyl.orbit_summary(getattr(lt, name)(), kind)
+    assert len(sizes) == orbits and sum(sizes) == objects
+    assert list(sizes) == sorted(sizes, reverse=True)
+    assert all(WEYL_ORDER[name] % s == 0 for s in sizes)
+
+
+def test_four_a1_representatives_in_e8():
+    e8 = lt.E8()
+    count, sizes, reps = lt.reflection_orbits(e8, weyl.four_a1_sublattices(e8))
+    assert (count, sizes, reps) == (2, [113400, 9450], E8_4A1_REPS)
+
+
+def test_equal_orbit_sizes_keep_first_object_order():
+    a1a1 = lt.standard_lattice("A1+A1")
+    assert lt.reflection_orbits(a1a1, [((0, 1),), ((1, 0),)]) == (2, [1, 1], [((0, 1),), ((1, 0),)])
+
+
+def test_reflection_orbits_refusals():
+    a2 = lt.A(2)
+    with pytest.raises(ValueError, match="not distinct"):
+        lt.reflection_orbits(a2, [((1, 0),), ((-1, 0),)])
+    with pytest.raises(ValueError, match="not closed"):
+        lt.reflection_orbits(a2, [((1, 0),)])
+    with pytest.raises(ValueError, match="not closed"):
+        lt.reflection_orbits(a2, [((1, 0),), ((1, 1),)])
+    # 2 (x, r) / (r, r) = -1/2 for x = (0, 1), r = (2, 0)
+    with pytest.raises(ValueError, match="not integral"):
+        lt.reflection_orbits(a2, [((1, 0),), ((0, 1),), ((1, 1),)], generators=[(2, 0)])
+    with pytest.raises(ValueError, match="isotropic"):
+        lt.reflection_orbits(lt.U(), [((1, 0),)], generators=[(1, 0)])
+    with pytest.raises(ValueError, match="zero vector"):
+        lt.reflection_orbits(a2, [((0, 0),)])
+    with pytest.raises(ValueError):
+        lt.reflection_orbits(a2, [((1, 0, 0),)])
