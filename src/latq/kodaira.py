@@ -142,16 +142,21 @@ def _sorted_shells(total_sq: int, parity: int):
     return out
 
 
+# the 35 four-subsets {0, a, b, c} of the coordinates, one of each
+# complementary pair
+_QUAD_REST = tuple(itertools.combinations(range(1, 8), 3))
+
+
 def _class_root_count(z) -> int:
     """Orthogonal-root count of a shell class (permutation invariant)."""
     # integer roots e_i - e_j: orthogonal iff z_i = z_j
     counts = Counter(z)
     n_int = sum(m * (m - 1) for m in counts.values())
-    # half-vector roots: subsets P of size 4 with sum_P z = 0 give +/- pair
-    n_half = 0
-    for comb in itertools.combinations(range(8), 4):
-        if z[comb[0]] + z[comb[1]] + z[comb[2]] + z[comb[3]] == 0:
-            n_half += 1
+    # half-vector roots: subsets P of size 4 with sum_P z = 0 give a +/- pair.
+    # The class sums to zero, so P sums to 0 exactly when its complement
+    # does: count the subsets holding coordinate 0 and double.
+    target = -z[0]
+    n_half = 2 * sum(z[a] + z[b] + z[c] == target for a, b, c in _QUAD_REST)
     return n_int + n_half
 
 

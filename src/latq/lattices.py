@@ -381,7 +381,8 @@ def divisor(L: GramLattice, v) -> int:
 
 def _short_vectors(L: GramLattice, bound: int):
     """All lattice vectors of norm <= bound (positive definite L only), in one
-    walk: out[k] is the sorted list of coordinate tuples of norm k.
+    walk: out maps each norm k that occurs to the sorted list of coordinate
+    tuples of norm k.  Memory follows the number of vectors, not the bound.
 
     With s * x^T G x = sum_i w_i y_i^2 and y_i = m_i x_i + t_i, where
     t_i = sum_{j>i} c_ij x_j, the coordinates are fixed from the last to the
@@ -392,7 +393,7 @@ def _short_vectors(L: GramLattice, bound: int):
         raise ValueError("norm must be nonnegative")
     s, w, m, c = _cholesky(L.gram)
     top = s * bound
-    out = [[] for _ in range(bound + 1)]
+    out: dict = {}
     coords = [0] * L.rank
 
     def descend(i, rem):
@@ -404,10 +405,10 @@ def _short_vectors(L: GramLattice, bound: int):
             if i:
                 descend(i - 1, left)
             else:
-                out[(top - left) // s].append(tuple(coords))
+                out.setdefault((top - left) // s, []).append(tuple(coords))
 
     descend(L.rank - 1, top)
-    for vecs in out:
+    for vecs in out.values():
         vecs.sort()
     return out
 
@@ -418,7 +419,7 @@ def enumerate_norm(L: GramLattice, n: int):
     Returns a deterministically ordered list of coordinate tuples, closed
     under negation; [()] placeholder semantics: n = 0 yields the zero vector.
     """
-    return _short_vectors(L, n)[n]
+    return _short_vectors(L, n).get(n, [])
 
 
 def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
@@ -467,7 +468,7 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
         if c is not None:
             return list(c[:prec])
     vecs = _short_vectors(L, 2 * max(prec - 1, 0))
-    return [len(vecs[2 * m]) for m in range(prec)]
+    return [len(vecs.get(2 * m, ())) for m in range(prec)]
 
 
 # -- fast exact counting models for standard lattices -----------------------
@@ -540,67 +541,94 @@ def _convolve_exact(a, b) -> np.ndarray:
     return np.convolve(a.astype(object), b.astype(object))
 
 
-def _coordinate_counts(values, n_coords: int, max_sq: int, modulus: int):
-    """col[s] = #{x in values^n_coords : sum x_i^2 = s, sum x_i = 0 mod modulus}
-    for 0 <= s <= max_sq.
+def _coordinate_counts(steps, n_coords: int, rows: int, modulus: int):
+    """col[s] = number of n_coords-tuples of steps whose row shifts add up to
+    s and whose residues add up to 0 mod modulus, for 0 <= s < rows.
 
-    The table is indexed by (sum of squares, coordinate sum mod modulus); one
-    coordinate value shifts it by (v^2, v mod modulus), a cyclic shift being
-    two slice-adds.  The last coordinate feeds only the column where the sum
-    is = 0.  A pass adds at most len(values) entries into each cell, so the
-    table leaves int64 for Python integers before a pass whose sums could
-    pass 2^63.
+    Each step is a pair (row shift, residue) with 0 <= shift < rows.  The
+    table is indexed by (row, residue sum mod modulus); one step shifts it by
+    (shift, residue), a cyclic shift being two slice-adds.  The last
+    coordinate feeds only the column where the residue sum is = 0.  A pass
+    adds at most len(steps) entries into each cell, so the table leaves
+    int64 for Python integers before a pass whose sums could pass 2^63.
     """
-    rows = max_sq + 1
     table = np.zeros((rows, modulus), dtype=np.int64)
     table[0, 0] = 1
     for k in range(n_coords):
-        if table.dtype != object and int(table.max()) * len(values) > _INT64_MAX:
+        if table.dtype != object and int(table.max()) * len(steps) > _INT64_MAX:
             table = table.astype(object)
         if k == n_coords - 1:
             col = np.zeros(rows, dtype=table.dtype)
-            for v in values:
-                col[v * v :] += table[: rows - v * v, -v % modulus]
+            for sh, r in steps:
+                col[sh:] += table[: rows - sh, -r % modulus]
             return col
         new = np.zeros_like(table)
-        for v in values:
-            sq, r = v * v, v % modulus
-            src = table[: rows - sq]
-            new[sq:, r:] += src[:, : modulus - r]
-            new[sq:, :r] += src[:, modulus - r :]
+        for sh, r in steps:
+            src = table[: rows - sh]
+            new[sh:, r:] += src[:, : modulus - r]
+            new[sh:, :r] += src[:, modulus - r :]
         table = new
     return table[:, 0]
 
 
+def _check_prec(prec: int):
+    if prec < 1:
+        raise ValueError("prec must be positive")
+
+
+def _square_steps(xmax: int, modulus: int):
+    """The steps (v^2, v mod modulus) of the integer coordinates |v| <= xmax."""
+    return [(v * v, v % modulus) for v in range(-xmax, xmax + 1)]
+
+
 def counts_sum_zero(n_coords: int, prec: int):
     """c[m] = #{x in Z^n : sum x_i = 0, sum x_i^2 = 2m}  (the A_{n-1} model)."""
-    max_sq = 2 * (prec - 1)
-    xmax = isqrt(max_sq)
-    col = _coordinate_counts(range(-xmax, xmax + 1), n_coords, max_sq, 2 * n_coords * xmax + 1)
+    _check_prec(prec)
+    rows = 2 * prec - 1
+    xmax = isqrt(rows - 1)
+    modulus = 2 * n_coords * xmax + 1
+    col = _coordinate_counts(_square_steps(xmax, modulus), n_coords, rows, modulus)
     return [int(col[2 * m]) for m in range(prec)]
 
 
 def counts_even_sum(n_coords: int, prec: int):
     """c[m] = #{x in Z^n : sum x_i even, sum x_i^2 = 2m}  (the D_n model)."""
-    max_sq = 2 * (prec - 1)
-    xmax = isqrt(max_sq)
-    col = _coordinate_counts(range(-xmax, xmax + 1), n_coords, max_sq, 2)
+    _check_prec(prec)
+    rows = 2 * prec - 1
+    col = _coordinate_counts(_square_steps(isqrt(rows - 1), 2), n_coords, rows, 2)
     return [int(col[2 * m]) for m in range(prec)]
 
 
 def counts_e7(prec: int):
     """c[m] = N_{E7}(2m) via the zero-sum Z^8 model: vectors are z/2 with
-    z in Z^8, sum z = 0, all z_i of equal parity, sum z_i^2 = 8m."""
-    max_sq = 8 * (prec - 1)
-    zmax = isqrt(max_sq)
-    out = [0] * prec
-    for parity in (0, 1):
-        values = [z for z in range(-zmax, zmax + 1) if z % 2 == parity]
-        modulus = 2 * 8 * max(values, default=0) + 1
-        col = _coordinate_counts(values, 8, max_sq, modulus)
-        for m in range(prec):
-            out[m] += int(col[8 * m])
-    return out
+    z in Z^8, sum z = 0, all z_i of equal parity, sum z_i^2 = 8m.
+
+    The list is sliced from one cached table built to the next power of two
+    at or above prec, so a sweep over growing precisions builds each size
+    once.
+    """
+    _check_prec(prec)
+    return list(_e7_table(1 << (prec - 1).bit_length())[:prec])
+
+
+@lru_cache(maxsize=None)
+def _e7_table(prec: int) -> tuple:
+    """counts_e7 up to prec, by coordinate type.
+
+    Even z = 2x are the A7 model.  Odd z = 2k+1 have (z^2 - 1)/8 = k(k+1)/2,
+    so sum z^2 = 8m becomes a sum of eight triangular numbers equal to
+    m - 1: prec - 1 rows instead of the 8(prec - 1) + 1 of the squares.
+    """
+    out = counts_sum_zero(8, prec)
+    if prec > 1:
+        rows = prec - 1
+        zmax = isqrt(8 * (rows - 1) + 1)  # largest |z| with (z^2 - 1)/8 < rows
+        modulus = 2 * 8 * zmax + 1
+        steps = [((z * z - 1) // 8, z % modulus) for z in range(-zmax, zmax + 1) if z % 2]
+        col = _coordinate_counts(steps, 8, rows, modulus)
+        for m in range(1, prec):
+            out[m] += int(col[m - 1])
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +781,7 @@ def is_isometric(L1: GramLattice, L2: GramLattice) -> bool:
         raise ValueError("is_isometric expects positive-definite lattices")
     norms = sorted({L1.gram[i][i] for i in range(L1.rank)})
     short1, cands = _short_vectors(L1, norms[-1]), _short_vectors(L2, norms[-1])
-    if any(len(cands[n]) != len(short1[n]) for n in norms):
+    if any(len(cands.get(n, ())) != len(short1[n]) for n in norms):
         return False
     order = _search_order(L1.gram)
     g1 = [[L1.gram[a][b] for b in order] for a in order]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -193,6 +194,72 @@ def test_counting_model_is_chosen_by_structure():
     assert lt.rep_count(lt.GramLattice(lt.D(4).gram, "not a lattice"), 2) == 24
 
 
+def _counts_e7_reference(prec):
+    """counts_e7 by the uncompressed formula: both parities of z on the rows
+    sum z^2 = 0..8(prec - 1), through the one counting kernel."""
+    max_sq = 8 * (prec - 1)
+    zmax = isqrt(max_sq)
+    out = [0] * prec
+    for parity in (0, 1):
+        values = [z for z in range(-zmax, zmax + 1) if z % 2 == parity]
+        modulus = 2 * 8 * max(values, default=0) + 1
+        col = lt._coordinate_counts([(z * z, z % modulus) for z in values], 8, max_sq + 1, modulus)
+        for m in range(prec):
+            out[m] += int(col[8 * m])
+    return out
+
+
+def test_counts_e7_matches_uncompressed_formula():
+    reference = _counts_e7_reference(140)
+    for p in (1, 2, 3, 17):
+        assert _counts_e7_reference(p) == reference[:p]
+    for p in range(1, 141):
+        assert lt.counts_e7(p) == reference[:p]
+
+
+def test_counts_e7_digest():
+    digest = hashlib.sha256(repr(lt.counts_e7(256)).encode()).hexdigest()
+    assert digest == "c24ccdc5dd5772ed55520abb01548cb9ef3155df823552f7d02fdeece6575cd9"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(1, 200), st.booleans()), min_size=2, max_size=6))
+def test_counts_e7_slices_agree_in_any_order(calls):
+    # each call is (prec, empty the table cache first)
+    seen = []
+    for prec, clear in calls:
+        if clear:
+            lt._e7_table.cache_clear()
+        seen.append(lt.counts_e7(prec))
+    longest = max(seen, key=len)
+    assert all(c == longest[: len(c)] for c in seen)
+    # the caller owns the list it gets; the cached table is not touched
+    seen[-1][0] = -1
+    assert lt.counts_e7(1) == [1]
+
+
+def test_counting_models_refuse_nonpositive_prec():
+    for prec in (0, -1):
+        for count in (lt.counts_e7, lambda p: lt.counts_sum_zero(8, p), lambda p: lt.counts_even_sum(6, p)):
+            with pytest.raises(ValueError, match="prec must be positive"):
+                count(prec)
+
+
+_MODEL_ATOMS = ("A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "D7", "E7")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_MODEL_ATOMS), min_size=1, max_size=2), st.integers(0, 8))
+def test_auto_theta_matches_fincke_pohst(parts, prec):
+    L = lt.standard_lattice("+".join(parts))
+    assert lt._model_counts(L, 1) is not None
+    auto = lt.theta_counts(L, prec)
+    # the generic walk visits every vector; keep it to a few 10^4
+    while sum(auto) > 30_000:
+        auto.pop()
+    assert lt.theta_counts(L, len(auto), method="fincke-pohst") == auto
+
+
 def _naive_convolution(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -379,7 +446,7 @@ def test_is_isometric_false_when_theta_series_differ(data):
     g1, g2 = _congruent(_identity(n), b), _congruent(sts, b)
     L1, L2 = _lattice(g1), _lattice(_congruent(g2, data.draw(_unimodular(n))))
     bound = max(g1[k][k] for k in range(n)) + 2
-    theta1, theta2 = ([len(v) for v in lt._short_vectors(L, bound)] for L in (L1, L2))
+    theta1, theta2 = ({k: len(v) for k, v in lt._short_vectors(L, bound).items()} for L in (L1, L2))
     if theta1 != theta2:
         assert not lt.is_isometric(L1, L2)
     if sts == _identity(n):
@@ -433,6 +500,15 @@ def test_is_isometric_past_int64():
     k = 3 * 10**9
     skewed = lt.GramLattice(((2, 2 * k + 1), (2 * k + 1, 2 * k * k + 2 * k + 2)))
     assert lt.is_isometric(lt.A(2), skewed)
+
+
+def test_is_isometric_with_huge_basis_norms():
+    # the walk to norm 10^19 meets 5 vectors; its memory must follow them,
+    # not the bound
+    L = lt.GramLattice(((10**19, 1), (1, 10**19)))
+    assert lt.enumerate_norm(L, 10**19) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert lt.rep_count(L, 10**19 - 1) == 0
+    assert lt.is_isometric(L, L)
 
 
 def test_smith_normal_form_random():

@@ -25,3 +25,16 @@ def test_short_vector_walk_is_integer():
     assert len(walks) == 2
     for fn in walks:
         assert "Fraction" not in {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)}
+
+
+def test_one_counting_kernel():
+    # every coordinate-model count runs through `_coordinate_counts`; another
+    # function allocating a DP table would be a second kernel to keep exact
+    tree = ast.parse((SRC / "lattices.py").read_text())
+    owners = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if getattr(node, "id", getattr(node, "attr", None)) == "zeros_like":
+                    owners.add(fn.name)
+    assert owners == {"_coordinate_counts"}
