@@ -11,6 +11,7 @@ root lattices.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -342,40 +343,51 @@ def theta_by_enumeration(L: GramLattice, prec: int = DEFAULT_PREC, method: str =
 # plain-text coefficient cache
 
 
-CACHE_MAGIC = "latq-theta-cache v1"
+CACHE_MAGIC = "latq-theta-cache v2"
+_CACHE_FIRST = re.compile(re.escape(CACHE_MAGIC) + r" records=([0-9]+)")
+_CACHE_HEADER = re.compile(r"record name=(\S+) grid=([0-9]+) prec=([0-9]+) count=([0-9]+) sha256=([0-9a-f]{64})")
+
+
+def _record_digest(name, grid, prec, body) -> str:
+    # the key is hashed with the coefficients, so an altered header cannot
+    # file them under another lattice or precision
+    text = "\n".join([f"{name} {grid} {prec}", *body])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def save_theta_cache(path, records):
     """Write {(name, grid, prec): coefficient list} to a plain-text file."""
-    lines = [CACHE_MAGIC]
+    # the first line counts the records, so that losing a record of no
+    # coefficients (a header line alone) is detected too
+    lines = [f"{CACHE_MAGIC} records={len(records)}"]
     for (name, grid, prec), coeffs in sorted(records.items()):
-        payload = "\n".join(str(int(c)) for c in coeffs)
-        digest = hashlib.sha256(payload.encode()).hexdigest()
-        lines.append(f"record name={name} grid={grid} prec={prec} count={len(coeffs)} sha256={digest}")
-        lines.append(payload)
+        body = [str(int(c)) for c in coeffs]
+        digest = _record_digest(name, grid, prec, body)
+        lines.append(f"record name={name} grid={grid} prec={prec} count={len(body)} sha256={digest}")
+        lines.extend(body)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_theta_cache(path):
-    """Read a cache file; raises ValueError on version or integrity mismatch."""
+    """Read a cache file; raises ValueError on a version, header or integrity mismatch."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != CACHE_MAGIC:
+    first = _CACHE_FIRST.fullmatch(lines[0]) if lines else None
+    if first is None:
         raise ValueError("unrecognized cache file version")
     records = {}
     i = 1
     while i < len(lines):
-        head = lines[i]
-        if not head.startswith("record "):
+        head = _CACHE_HEADER.fullmatch(lines[i])
+        if head is None:
             raise ValueError("malformed cache record header")
-        fields = dict(kv.split("=", 1) for kv in head.split()[1:])
-        count = int(fields["count"])
+        name, grid, prec, count = head[1], int(head[2]), int(head[3]), int(head[4])
         body = lines[i + 1 : i + 1 + count]
-        payload = "\n".join(body)
-        if hashlib.sha256(payload.encode()).hexdigest() != fields["sha256"]:
-            raise ValueError(f"cache integrity check failed for {fields['name']}")
-        key = (fields["name"], int(fields["grid"]), int(fields["prec"]))
-        records[key] = [int(x) for x in body]
+        if _record_digest(name, grid, prec, body) != head[5]:
+            raise ValueError(f"cache integrity check failed for {name}")
+        records[(name, grid, prec)] = [int(x) for x in body]
         i += 1 + count
+    if len(records) != int(first[1]):
+        raise ValueError(f"cache file holds {len(records)} records, not {first[1]}")
     return records

@@ -19,9 +19,11 @@ arithmetic:
 
 Every factorisation in latq (square-free kernels, b_n, divisors, Moebius,
 and the polarisation counts) is read off the one trial division `_factor`,
-and every integer p-adic valuation is `_ord`.  The brute-force b_n and the
-counting oracle factor nothing, so they stay independent of the closed
-forms they certify.
+and every integer p-adic valuation is `_ord`.  The numeric L-value route
+factors no n: it tabulates b_n for all n at once from the per-prime-power
+counts over a prime sieve.  The brute-force b_n and the counting oracle
+factor nothing either, so they stay independent of the closed forms they
+certify.
 
 Densities are normalized as limits of p^{-a(m-1)} #{X mod p^a : S(X) = t}.
 """
@@ -238,6 +240,47 @@ def b_n_bruteforce(delta: int, n: int) -> int:
     return sum(1 for x in range(2 * n) if (x * x - delta) % (4 * n) == 0)
 
 
+@lru_cache(maxsize=4)
+def _primes_upto(n: int) -> tuple:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return tuple(np.flatnonzero(sieve).tolist())
+
+
+def _b_table(delta: int, terms: int) -> np.ndarray:
+    """[b_n(delta, n) for n in 0..terms] as an int64 array; factors no n.
+
+    b_n is half the product over p^e || 4n of the local counts
+    `_sqrt_count_mod_pp(delta, p, e)`, so each prime p <= terms multiplies
+    the multiples of p by its count at the exponent of p in 4n, and the odd
+    n by the 2-adic count at 2^2.  A local count at p^e is at most p^e, so
+    every entry and partial product is at most 4 * terms: int64 is exact.
+    """
+    h = np.ones(terms + 1, dtype=np.int64)
+    h[0] = 0
+    h[1::2] *= _sqrt_count_mod_pp(delta, 2, 2)
+    for p in _primes_upto(terms):
+        shift = 2 if p == 2 else 0
+        loc = _sqrt_count_mod_pp(delta, p, 1 + shift)
+        if p * p > terms:
+            # only p || n occurs; for p not dividing delta, loc = 1 + (delta/p)
+            h[p::p] *= loc
+            continue
+        # local[k - 1] is the count for n = p * k; p^e | n  <=>  p^(e-1) | k
+        local = np.full(terms // p, loc, dtype=np.int64)
+        q, e = p, 2
+        while q * p <= terms:
+            local[q - 1 :: q] = _sqrt_count_mod_pp(delta, p, e + shift)
+            q *= p
+            e += 1
+        h[p::p] *= local
+    return h // 2
+
+
 ZETA2 = math.pi**2 / 6
 ZETA4 = math.pi**4 / 90
 
@@ -246,15 +289,24 @@ def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
     """Rigorous enclosure (lo, hi) of zeta(2s)/zeta(s) * sum b_n(delta) n^-s
     at s = 2, the only point the representation numbers need.
 
-    The tail is bounded through b_n <= 2 * 2^omega(n) * sqrt|delta|.
+    The b_n come from `_b_table`, which multiplies per-prime-power counts
+    over a prime sieve and factors no n.  The partial sum adds b_n / n^s in
+    increasing n.  The tail is bounded through b_n <= 2 * 2^omega(n) *
+    sqrt|delta|.
     """
     if s != 2:
         raise ValueError("the enclosure is rigorous only at s = 2")
+    if delta % 4 not in (0, 1):
+        raise ValueError("delta must be 0 or 1 mod 4")
+    if delta == 0:
+        raise ValueError("delta = 0 is not supported")
+    if terms < 1:
+        raise ValueError("terms must be positive")
+    table = _b_table(delta, terms)
+    nonzero = np.flatnonzero(table)
     partial = 0.0
-    for n in range(1, terms + 1):
-        bn = b_n(delta, n)
-        if bn:
-            partial += bn / n**s
+    for n, bn in zip(nonzero.tolist(), table[nonzero].tolist()):
+        partial += bn / n**s
     # sum_{n>N} d(n) n^-s <= (2 ln N + 3.7) / N^{s-1} / (s-1)  (see module tests)
     tail_d = (2 * math.log(terms) + 3.7) / (terms ** (s - 1)) / (s - 1)
     tail = 2.0 * math.sqrt(abs(delta)) * tail_d

@@ -172,3 +172,12 @@ def test_cache_roundtrip_and_recovery(tmp_path, capsys):
     assert code == 0
     assert out3 == out1
     assert "ignoring cache" in err
+    # a record header that lacks a field is refused the same way
+    with open(cache) as fh:
+        text = fh.read()
+    with open(cache, "w") as fh:
+        fh.write(text.replace(" count=", " ", 1))
+    code, out4, err = run_cli(capsys, "--cache", cache, "theta", "--lattice", "A5", "--prec", "6", "--method", "enum")
+    assert code == 0
+    assert out4 == out1
+    assert "ignoring cache" in err

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latq import lattices as lt
 from latq import qseries as qs
@@ -161,3 +163,63 @@ def test_cache_roundtrip(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError):
         qs.load_theta_cache(path)
+
+
+def test_cache_refuses_malformed_or_altered_headers(tmp_path):
+    path = tmp_path / "theta.cache"
+    qs.save_theta_cache(path, {("A5", 1, 4): [1, 30, 90, 140]})
+    head = path.read_text().splitlines()[1]
+    bad_heads = (
+        head.replace("name=A5", "name=A6"),
+        head.replace("grid=1", "grid=2"),
+        head.replace("prec=4", "prec=5"),
+        head.replace(" count=4", ""),
+        head.replace(" sha256=", " digest="),
+        head.replace("count=4", "count=-1"),
+        head.replace("count=4", "count=x"),
+        head.replace("grid=1", "grid"),
+        head + " extra=1",
+    )
+    for k, bad in enumerate(bad_heads):
+        bad_path = tmp_path / f"bad{k}.cache"
+        bad_path.write_text(f"{qs.CACHE_MAGIC} records=1\n{bad}\n1\n30\n90\n140\n")
+        with pytest.raises(ValueError):
+            qs.load_theta_cache(bad_path)
+
+
+_cache_records = st.dictionaries(
+    st.tuples(st.text("ADEU0123456789+", min_size=1, max_size=5), st.integers(1, 12), st.integers(0, 40)),
+    st.lists(st.integers(-(10**30), 10**30), max_size=6),
+    max_size=4,
+)
+_printable = st.characters(min_codepoint=32, max_codepoint=126)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cache_records, st.data())
+def test_cache_roundtrip_and_corruption(tmp_path_factory, records, data):
+    # fresh files for every example: rewriting a file in place can cost far
+    # more than creating one
+    base = tmp_path_factory.mktemp("theta-cache")
+    qs.save_theta_cache(base / "saved", records)
+    assert qs.load_theta_cache(base / "saved") == records
+    # one line dropped, truncated, retyped in one character, or replaced
+    lines = (base / "saved").read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(["drop", "truncate", "retype", "replace"]))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "truncate":
+        lines[i] = lines[i][: data.draw(st.integers(0, len(lines[i]) - 1))]
+    elif kind == "retype":
+        j = data.draw(st.integers(0, len(lines[i]) - 1))
+        c = data.draw(_printable.filter(lambda c: c != lines[i][j]))
+        lines[i] = lines[i][:j] + c + lines[i][j + 1 :]
+    else:
+        lines[i] = data.draw(st.text(_printable, max_size=80).filter(lambda t: t != lines[i]))
+    (base / "corrupt").write_text("\n".join(lines) + "\n")
+    try:
+        loaded = qs.load_theta_cache(base / "corrupt")
+    except ValueError:
+        return
+    assert loaded == records

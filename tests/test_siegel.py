@@ -159,6 +159,30 @@ def test_oracles_do_not_factor(monkeypatch):
     assert oracle_values() == expected
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(-(10**4), 10**4).filter(lambda d: d != 0 and d % 4 in (0, 1)), st.integers(1, 500))
+def test_b_table_matches_bruteforce(delta, terms):
+    table = sg._b_table(delta, terms).tolist()
+    assert table[0] == 0
+    for n in range(1, terms + 1):
+        assert table[n] == sg.b_n_bruteforce(delta, n) == sg.b_n(delta, n), (delta, n)
+
+
+def test_numeric_route_does_not_factor(monkeypatch):
+    # the b_n table multiplies per-prime-power counts over a prime sieve;
+    # a per-n factorisation must not come back into the numeric route
+    def values():
+        return [sg.zagier_L_numeric(2, delta) for delta in (1, 5, 8, 12, 24, 60, 420)]
+
+    def refuse(n):
+        raise AssertionError("the numeric route called _factor")
+
+    expected = values()
+    monkeypatch.setattr(sg, "_factor", refuse)
+    sg._primes_upto.cache_clear()
+    assert values() == expected
+
+
 def test_zagier_L_interval_vs_functional_equation():
     for delta in (1, 5, 8, 12, 24, 60):
         lo, hi = sg.zagier_L_numeric(2, delta, terms=20000)
@@ -170,6 +194,14 @@ def test_zagier_L_refuses_other_points():
     for s in (1.5, 3, 4.0):
         with pytest.raises(ValueError):
             sg.zagier_L_numeric(s, 5)
+    for delta in (0, 2, 3, -1, -2, 7, 10):
+        with pytest.raises(ValueError):
+            sg.zagier_L_numeric(2, delta)
+    for terms in (0, -1):
+        with pytest.raises(ValueError, match="terms must be positive"):
+            sg.zagier_L_numeric(2, 5, terms=terms)
+    with pytest.raises(ValueError, match="terms must be positive"):
+        sg.siegel_r("A5", 6, terms=0)
 
 
 def test_bernoulli_numbers():
