@@ -6,6 +6,9 @@ as "num/den" strings and integers never degrade to floats.
 
 Exit codes: 0 success, 1 usage error, 2 computation refused (hypothesis
 violated), 3 internal cross-check failure.
+
+Each subcommand imports the latq modules it runs inside its own handler, so
+a cold process loads only those (and numpy only when a kernel needs it).
 """
 
 from __future__ import annotations
@@ -17,11 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__
-from . import kodaira as ko
-from . import lattices as lt
-from . import polarisation as po
 from . import qseries as qs
-from . import siegel as sg
 
 USAGE_ERROR = 1
 REFUSED = 2
@@ -39,7 +38,9 @@ _THETA_CLOSED = {
 _LATTICE_NAMES = {"A1D4": "A1+D4"}
 
 
-def _lattice(name: str) -> lt.GramLattice:
+def _lattice(name: str):
+    from . import lattices as lt
+
     return lt.standard_lattice(_LATTICE_NAMES.get(name, name))
 
 
@@ -97,6 +98,10 @@ def _cmd_theta(args):
         if cached is not None:
             enum = cached
         else:
+            # only a cache miss enumerates; the closed forms and a cache hit
+            # need no lattice code
+            from . import lattices as lt
+
             enum = lt.theta_counts(_lattice(name), prec)
             _cache_store(args, name, prec, enum)
     if args.method == "both" and closed != enum:
@@ -140,6 +145,8 @@ def _cache_store(args, name, prec, coeffs):
 
 
 def _cmd_repcount(args):
+    from . import lattices as lt
+
     L = _lattice(args.lattice)
     count = lt.rep_count(L, args.norm)
     _emit(
@@ -154,6 +161,8 @@ def _cmd_repcount(args):
 
 
 def _cmd_siegel(args):
+    from . import siegel as sg
+
     rep = sg.siegel_r(args.form, args.t)
     result = {"r": rep.r}
     if args.report:
@@ -183,6 +192,8 @@ def _cmd_siegel(args):
 
 
 def _cmd_orbits(args):
+    from . import polarisation as po
+
     if args.sweep:
         rows = []
         for t in range(1, args.t + 1):
@@ -229,6 +240,8 @@ def _cmd_orbits(args):
 
 
 def _cmd_index(args):
+    from . import polarisation as po
+
     try:
         formula = po.stable_index_formula(args.t, args.d, args.f)
         oracle = po.stable_index_oracle(args.t, args.d, args.f)
@@ -252,6 +265,8 @@ def _cmd_index(args):
 
 
 def _cmd_e7_search(args):
+    from . import kodaira as ko
+
     res = ko.search(args.d, max_roots=args.max_roots)
     result = {
         "d": args.d,
@@ -275,6 +290,8 @@ def _cmd_e7_search(args):
 
 
 def _cmd_inequality(args):
+    from . import kodaira as ko
+
     rows = []
     for m in range(1, args.m_max + 1):
         holds, slack = ko.inequality_check(m, args.coeff)
@@ -291,6 +308,8 @@ def _cmd_inequality(args):
 
 
 def _cmd_verdict(args):
+    from . import kodaira as ko
+
     v = ko.verdict(args.d)
     _emit(
         args,
@@ -309,6 +328,9 @@ def _cmd_verdict(args):
 
 
 def _cmd_table1(args):
+    from . import kodaira as ko
+    from . import lattices as lt
+
     L = lt.E7()
     rows = []
     ok = True

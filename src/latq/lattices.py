@@ -22,8 +22,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 
-import numpy as np
-
 __all__ = [
     "GramLattice",
     "LatticeVector",
@@ -533,6 +531,8 @@ def _convolve_exact(a, b) -> np.ndarray:
     bounds every partial sum below 2^63; otherwise the product runs on
     Python integers (object arrays).
     """
+    import numpy as np
+
     # Python-int lists go through object arrays: np.asarray would silently
     # turn entries past int64 into floats
     a, b = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (a, b))
@@ -552,6 +552,8 @@ def _coordinate_counts(steps, n_coords: int, rows: int, modulus: int):
     adds at most len(steps) entries into each cell, so the table leaves
     int64 for Python integers before a pass whose sums could pass 2^63.
     """
+    import numpy as np
+
     table = np.zeros((rows, modulus), dtype=np.int64)
     table[0, 0] = 1
     for k in range(n_coords):
@@ -771,6 +773,8 @@ def is_isometric(L1: GramLattice, L2: GramLattice) -> bool:
     """Backtracking isometry test for positive-definite lattices of rank
     <= ISOMETRY_MAX_RANK: the images of L1's basis vectors, placed in
     ``_search_order``, are drawn from L2's vectors of the same norm."""
+    import numpy as np
+
     if L1.rank != L2.rank:
         return False
     if L1.rank > ISOMETRY_MAX_RANK:
@@ -860,6 +864,8 @@ def reflection_orbits(L: GramLattice, objects, generators=None):
     roots once and so the object keys, and labels fall to the smallest
     object index of each orbit by min-label propagation.
     """
+    import numpy as np
+
     arr = np.array(list(objects), dtype=np.int64)  # (N, k, n)
     if arr.ndim != 3 or arr.shape[2] != L.rank:
         raise ValueError("objects must be equal-size collections of coordinate vectors")
@@ -916,6 +922,8 @@ def reflection_orbits(L: GramLattice, objects, generators=None):
 
 def _sign_normalize_rows(rows):
     """Negate, in place, each row whose first nonzero entry is negative."""
+    import numpy as np
+
     nonzero = rows != 0
     if not nonzero.any(axis=1).all():
         raise ValueError("zero vector in sublattice descriptor")
@@ -927,6 +935,8 @@ def _sign_normalize_rows(rows):
 def _lookup(sorted_keys, keys):
     """Positions of keys in the ascending array sorted_keys; ValueError when
     one is missing, i.e. the objects are not closed under a generator."""
+    import numpy as np
+
     at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
     if np.any(sorted_keys[at] != keys):
         raise ValueError("object set is not closed under the reflection group")
@@ -938,6 +948,8 @@ def _pack_rows(arr):
     rows lexicographically: row digits are offset by the array's smallest
     entry, in the base its range needs.  Raises ValueError when the keys
     would not fit in int64."""
+    import numpy as np
+
     lo, hi = int(arr.min()), int(arr.max())
     base = hi - lo + 1
     if base ** arr.shape[-1] > _INT64_MAX:

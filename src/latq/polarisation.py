@@ -39,6 +39,12 @@ class HypothesisViolation(ValueError):
     """Raised when a query leaves the w = 1 regime the index formulas need."""
 
 
+def _check_positive(t: int, d: int, f: int):
+    # before any `% f`: f = 0 would raise ZeroDivisionError, f < 0 count nothing
+    if t < 1 or d < 1 or f < 1:
+        raise ValueError("t, d, f must be positive")
+
+
 @dataclass(frozen=True)
 class PolarisationQuery:
     t: int
@@ -53,8 +59,7 @@ class PolarisationQuery:
 
     @classmethod
     def build(cls, t: int, d: int, f: int) -> "PolarisationQuery":
-        if t < 1 or d < 1 or f < 1:
-            raise ValueError("t, d, f must be positive")
+        _check_positive(t, d, f)
         if gcd(2 * t, 2 * d) % f:
             raise ValueError("f must divide gcd(2t, 2d)")
         g = gcd(2 * t // f, 2 * d // f)
@@ -102,6 +107,7 @@ def orbit_witnesses(t: int, d: int, f: int):
 def orbit_count_oracle(t: int, d: int, f: int) -> int:
     """Number of orbits of primitive norm-2d vectors with divisor f,
     counted directly via the defining congruence."""
+    _check_positive(t, d, f)
     if gcd(2 * t, 2 * d) % f:
         return 0
     return len(orbit_witnesses(t, d, f))
@@ -131,6 +137,7 @@ def _w_split(w: int, f1: int):
 
 def orbit_count_formula(t: int, d: int, f: int) -> OrbitReport:
     """Case-split closed formula for the orbit count."""
+    _check_positive(t, d, f)
     if gcd(2 * t, 2 * d) % f:
         return OrbitReport(t, d, f, False, 0, "invalid-f", None)
     q = PolarisationQuery.build(t, d, f)

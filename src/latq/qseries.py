@@ -15,8 +15,10 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from typing import TYPE_CHECKING
 
-from .lattices import GramLattice, theta_counts
+if TYPE_CHECKING:
+    from .lattices import GramLattice
 
 __all__ = [
     "EisensteinInteger",
@@ -223,8 +225,14 @@ class QSeries:
 # Jacobi theta building blocks
 
 
+def _check_prec(prec: int):
+    if prec < 1:
+        raise ValueError("prec must be positive")
+
+
 def theta3(prec: int = DEFAULT_PREC) -> QSeries:
     """Sum_n q^{n^2/2} on the half-integer grid."""
+    _check_prec(prec)
     units = 2 * prec
     c = [0] * units
     c[0] = 1
@@ -239,6 +247,7 @@ def theta3_shifted(k: int, prec: int = DEFAULT_PREC) -> QSeries:
     """Sum_n q^{n^2/2} zeta6^{nk} over the Eisenstein integers."""
     if not 0 <= k <= 5:
         raise ValueError("shift index must be in 0..5")
+    _check_prec(prec)
     units = 2 * prec
     c = [EisensteinInteger(0, 0)] * units
     c[0] = EisensteinInteger(1, 0)
@@ -285,16 +294,17 @@ def theta_A(n: int, prec: int = DEFAULT_PREC) -> QSeries:
     """Theta series of the root lattice A_n, for n+1 dividing 6.
 
     Classical identity: sum_{k mod n+1} theta3(tau, k/(n+1))^{n+1} divided by
-    (n+1) * theta3((n+1) tau); integrality of the result is asserted.
+    (n+1) * theta3((n+1) tau); integrality of the result is asserted.  Each
+    shifted theta has the coefficients zeta^j + zeta^-j, rational integers,
+    so it is rationalized before the power and the products run on ints.
     """
     if (n + 1) not in (2, 3, 6):
         raise ValueError("theta_A is implemented for n in {1, 2, 5}")
     step = 6 // (n + 1)
     num = None
     for k in range(n + 1):
-        term = theta3_shifted((k * step) % 6, prec) ** (n + 1)
+        term = theta3_shifted((k * step) % 6, prec).rationalize() ** (n + 1)
         num = term if num is None else num + term
-    num = num.rationalize()
     den = scale_tau(theta3(prec), n + 1) * (n + 1)
     # constant terms: num starts with n+1, den with n+1 -> normalize exactly
     quotient = _divide_exact(num, den)
@@ -335,6 +345,8 @@ def theta_D(n: int, prec: int = DEFAULT_PREC) -> QSeries:
 def theta_by_enumeration(L: GramLattice, prec: int = DEFAULT_PREC, method: str = "auto") -> QSeries:
     """Theta series of an even positive-definite lattice by exhaustive
     counting (integer exponent grid)."""
+    from .lattices import theta_counts
+
     counts = theta_counts(L, prec, method=method)
     return QSeries(1, prec, tuple(counts))
 

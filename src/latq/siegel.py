@@ -36,8 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
-import numpy as np
-
 from .lattices import A as _A
 from .lattices import D as _D
 from .lattices import _convolve_exact, direct_sum, span
@@ -243,6 +241,8 @@ def b_n_bruteforce(delta: int, n: int) -> int:
 @lru_cache(maxsize=4)
 def _primes_upto(n: int) -> tuple:
     """The primes p <= n, by the sieve of Eratosthenes."""
+    import numpy as np
+
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, isqrt(n) + 1):
@@ -260,6 +260,8 @@ def _b_table(delta: int, terms: int) -> np.ndarray:
     n by the 2-adic count at 2^2.  A local count at p^e is at most p^e, so
     every entry and partial product is at most 4 * terms: int64 is exact.
     """
+    import numpy as np
+
     h = np.ones(terms + 1, dtype=np.int64)
     h[0] = 0
     h[1::2] *= _sqrt_count_mod_pp(delta, 2, 2)
@@ -294,6 +296,8 @@ def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
     increasing n.  The tail is bounded through b_n <= 2 * 2^omega(n) *
     sqrt|delta|.
     """
+    import numpy as np
+
     if s != 2:
         raise ValueError("the enclosure is rigorous only at s = 2")
     if delta % 4 not in (0, 1):
@@ -719,6 +723,8 @@ def _mod_frac(x: Fraction, modulus: int) -> int:
 
 def _block_distribution(block, p: int, a: int) -> np.ndarray:
     """Value distribution of the block's quadratic form over (Z/p^a)^k."""
+    import numpy as np
+
     mod = p**a
     if len(block) == 1:
         c = _mod_frac(block[0][0], mod)
@@ -744,6 +750,8 @@ def _block_distribution(block, p: int, a: int) -> np.ndarray:
 
 def _convolve_mod(a_arr: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
     """Cyclic convolution of two distributions over Z/len(a_arr), exact."""
+    import numpy as np
+
     ln = len(a_arr)
     full = _convolve_exact(a_arr, b_arr)
     out = full[:ln].copy()
@@ -753,6 +761,8 @@ def _convolve_mod(a_arr: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
 
 def _block_counts(blocks, p: int, a: int) -> np.ndarray:
     """Value distribution mod p^a of the orthogonal sum of the blocks."""
+    import numpy as np
+
     acc = _block_distribution(blocks[0], p, a)
     for blk in blocks[1:]:
         acc = _convolve_mod(acc, _block_distribution(blk, p, a))
@@ -768,6 +778,8 @@ def _blocks_for(key: str, p: int):
 @lru_cache(maxsize=64)
 def _joint_counts(key: str, p: int, a: int) -> tuple:
     """Counts of S(X) = v mod p^a over (Z/p^a)^m, as a tuple of ints."""
+    import numpy as np
+
     top = _TOP_LEVEL.get(p, 4)
     if a < top:
         higher = _joint_counts(key, p, a + 1)

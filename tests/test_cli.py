@@ -138,10 +138,22 @@ def test_usage_error_exit_1(capsys):
         (("index", "--t", "4", "--d", "4", "--f", "4"), cli.REFUSED),
         (("repcount", "--lattice", "U", "--norm", "0"), cli.USAGE_ERROR),
         (("repcount", "--lattice", "U", "--norm", "2"), cli.USAGE_ERROR),
+        (("orbits", "--t", "3", "--d", "3", "--f", "0"), cli.USAGE_ERROR),
+        (("orbits", "--t", "3", "--d", "3", "--f", "-2"), cli.USAGE_ERROR),
+        (("theta", "--lattice", "D4", "--prec", "0"), cli.USAGE_ERROR),
+        (("theta", "--lattice", "D4", "--prec", "-2", "--method", "closed"), cli.USAGE_ERROR),
     ],
 )
 def test_bad_input_exit_codes(capsys, argv, code):
-    assert run_cli(capsys, *argv)[0] == code
+    code_got, out, err = run_cli(capsys, *argv)
+    assert code_got == code
+    assert out == "" and "Traceback" not in err
+
+
+def test_theta_enum_prec_0_is_empty(capsys):
+    code, out, _ = run_cli(capsys, "theta", "--lattice", "D4", "--prec", "0", "--method", "enum")
+    assert code == 0
+    assert json.loads(out)["result"]["coefficients"] == []
 
 
 def test_bad_input_exit_code_under_optimize():

@@ -20,6 +20,14 @@ def test_query_invariants():
         po.PolarisationQuery.build(1, 1, 4)
 
 
+@pytest.mark.parametrize("t, d, f", [(3, 3, 0), (3, 3, -2), (0, 3, 1), (3, -1, 1)])
+def test_orbit_counts_refuse_nonpositive_input(t, d, f):
+    # f = 0 used to reach `% f` and f < 0 to count no orbits
+    for count in (po.orbit_count_formula, po.orbit_count_oracle):
+        with pytest.raises(ValueError, match="must be positive"):
+            count(t, d, f)
+
+
 def test_split_case_always_one_orbit():
     for t in range(1, 12):
         for d in range(1, 12):

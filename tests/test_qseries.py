@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -72,6 +73,28 @@ def test_theta_A_values():
     assert a5.coeffs[:5] == (1, 30, 90, 140, 270)
     with pytest.raises(ValueError):
         qs.theta_A(3, 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_theta_A_matches_enumeration(n):
+    counts = lt.theta_counts(lt.A(n), 64)
+    for prec in range(1, 65):
+        assert list(qs.theta_A(n, prec).coeffs) == counts[:prec]
+
+
+def test_theta_A_coefficients_pinned():
+    # sha256 of the coefficients as computed before the shifted thetas were
+    # rationalized ahead of their powers: the integer products change nothing
+    precs = (1, 2, 3, 8, 33, 103, 128, 200)
+    coeffs = [qs.theta_A(n, prec).coeffs for n in (1, 2, 5) for prec in precs]
+    assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == "4e94490b4fae11f3cb190f7e826da3f181106dc8badafc6b4ca7f8e97e8a8480"
+
+
+@pytest.mark.parametrize("prec", [0, -2])
+def test_theta_blocks_refuse_nonpositive_prec(prec):
+    for build in (qs.theta3, lambda p: qs.theta3_shifted(1, p), lambda p: qs.theta_A(5, p), lambda p: qs.theta_D(4, p)):
+        with pytest.raises(ValueError, match="prec must be positive"):
+            build(prec)
 
 
 def test_theta_D_values():

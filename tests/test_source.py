@@ -38,3 +38,28 @@ def test_one_counting_kernel():
                 if getattr(node, "id", getattr(node, "attr", None)) == "zeros_like":
                     owners.add(fn.name)
     assert owners == {"_coordinate_counts"}
+
+
+def _module_level(node):
+    """The nodes that run when the module is imported: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
+def test_numpy_is_imported_where_it_runs():
+    # a module-level numpy import would cost every cold process that loads
+    # the module about 0.1 s, also when its subcommand runs no numpy kernel
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _module_level(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
