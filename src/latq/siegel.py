@@ -12,8 +12,10 @@ arithmetic:
   * closed-form 2- and 3-adic densities for the three one-class quintary
     forms handled here (sum of five squares, A1+D4, A5),
   * a definitional counting oracle: block-diagonalize the form over Z_p with
-    an exact unimodular transform and count solutions of S(X) = t mod p^a by
-    convolving block value distributions, with stabilization checking,
+    an exact unimodular transform and count solutions of S(X) = t mod p^a:
+    each block's value counts by a split x = x0 + p^ceil(a/2) z (a bincount
+    over p^(ceil(a/2) k) points), convolved as functions on the O(a) square
+    classes {u^2 v} of Z/p^a, with stabilization checking,
   * the assembled representation numbers r(t) with two independent routes
     (exact Cohen-number route, numeric L-value route) that must agree.
 
@@ -38,7 +40,7 @@ from math import comb, gcd, isqrt
 
 from .lattices import A as _A
 from .lattices import D as _D
-from .lattices import _convolve_exact, direct_sum, span
+from .lattices import direct_sum, span
 
 __all__ = [
     "kronecker",
@@ -106,6 +108,8 @@ def kronecker(a: int, n: int) -> int:
 
 def _ord(n: int, p: int) -> int:
     """The exponent of the prime p in n != 0."""
+    if n == 0 or p < 2:
+        raise ValueError("the valuation needs n != 0 and p >= 2")
     e = 0
     while n % p == 0:
         n //= p
@@ -581,8 +585,11 @@ def jordan_split(s_matrix, p: int):
     p-unit) and T^t M T block diagonal with 1x1 blocks, plus 2x2 blocks when
     p = 2.  The factorization is verified exactly before returning.
     """
+    _check_prime_level(p, 1)
     n = len(s_matrix)
     m0 = [[Fraction(x) for x in row] for row in s_matrix]
+    if any(len(row) != n for row in m0) or any(m0[i][j] != m0[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("jordan_split needs a symmetric square matrix")
     m = [row[:] for row in m0]
     t = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
@@ -660,27 +667,14 @@ def jordan_split(s_matrix, p: int):
     det_t = _frac_det(t)
     if _val_p(det_t, p) != 0:
         raise AssertionError("transform determinant is not a p-unit")
-    check = _congruent(m0, t)
+    expected = [[Fraction(0)] * n for _ in range(n)]
     off = 0
     for blk in blocks:
-        k = len(blk)
-        for i in range(k):
-            for j in range(k):
-                if check[off + i][off + j] != blk[i][j]:
-                    raise AssertionError("block reconstruction mismatch")
-        off += k
-    for i in range(n):
-        for j in range(n):
-            in_block = False
-            pos = 0
-            for blk in blocks:
-                k = len(blk)
-                if pos <= i < pos + k and pos <= j < pos + k:
-                    in_block = True
-                    break
-                pos += k
-            if not in_block and check[i][j] != 0:
-                raise AssertionError("off-block entry nonzero")
+        for i, row in enumerate(blk):
+            expected[off + i][off : off + len(blk)] = row
+        off += len(blk)
+    if _congruent(m0, t) != expected:
+        raise AssertionError("T^t M T is not the block diagonal matrix")
     return t, blocks
 
 
@@ -722,50 +716,108 @@ def _mod_frac(x: Fraction, modulus: int) -> int:
 
 
 def _block_distribution(block, p: int, a: int) -> np.ndarray:
-    """Value distribution of the block's quadratic form over (Z/p^a)^k."""
+    """Value distribution of a 1x1 or 2x2 block's form Q over (Z/p^a)^k.
+
+    With x = x0 + p^c z and c = ceil(a/2), Q(x) = Q(x0) + p^c B(x0, z) mod
+    p^a.  The linear form z -> B(x0, z) mod p^(a-c) takes each value of
+    g Z/p^(a-c) equally often, g the gcd of p^(a-c) and its coefficients,
+    so the counts are bincounts of Q(x0) mod p^c g over the p^(ck) points
+    x0, one per g.
+    """
     import numpy as np
 
-    mod = p**a
+    mod, c = p**a, (a + 1) // 2
+    low = p ** (a - c)
+    x = np.arange(p**c, dtype=np.int64)
     if len(block) == 1:
-        c = _mod_frac(block[0][0], mod)
-        x = np.arange(mod, dtype=np.int64)
-        vals = (x * x % mod) * c % mod
-        return np.bincount(vals, minlength=mod).astype(np.int64)
-    (a_, b_), (_, c_) = block
-    am = _mod_frac(a_, mod)
-    b2 = _mod_frac(2 * b_, mod)
-    cm = _mod_frac(c_, mod)
-    y = np.arange(mod, dtype=np.int64)
-    y2 = (y * y % mod) * cm % mod
-    by = b2 * y % mod
+        qa = _mod_frac(block[0][0], mod)
+        vals = (x * x % mod) * qa % mod
+        g = np.gcd(2 * qa % low * x % low, low)
+    else:
+        (a_, b_), (_, c_) = block
+        qa, qb, qc = _mod_frac(a_, mod), _mod_frac(2 * b_, mod), _mod_frac(c_, mod)
+        x, y = (v.ravel() for v in np.meshgrid(x, x, indexing="ij"))
+        vals = ((x * x % mod) * qa % mod + (x * y % mod) * qb % mod + (y * y % mod) * qc % mod) % mod
+        # B((x, y), (z, w)) = (2 qa x + qb y) z + (qb x + 2 qc y) w
+        g = np.gcd(np.gcd((2 * qa % low * x + qb % low * y) % low, (qb % low * x + 2 * qc % low * y) % low), low)
     out = np.zeros(mod, dtype=np.int64)
-    chunk = max(1, 2**22 // mod)
-    for start in range(0, mod, chunk):
-        xs = np.arange(start, min(start + chunk, mod), dtype=np.int64)
-        x2 = (xs * xs % mod) * am % mod
-        vals = (x2[:, None] + xs[:, None] * by[None, :] + y2[None, :]) % mod
-        out += np.bincount(vals.ravel(), minlength=mod)
+    for gv in np.unique(g).tolist():
+        step = p**c * gv
+        hist = np.bincount(vals[g == gv] % step, minlength=step)
+        out += np.tile(hist * (low ** (len(block) - 1) * gv), mod // step)
     return out
 
 
-def _convolve_mod(a_arr: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
-    """Cyclic convolution of two distributions over Z/len(a_arr), exact."""
+@lru_cache(maxsize=32)
+def _square_classes(p: int, a: int):
+    """The classes {u^2 v : u a unit} of Z/p^a; a form's value counts are
+    constant on them, because Q(ux) = u^2 Q(x).
+
+    Class 0 is {0}; then, for v = p^j w by increasing j, the square class
+    of the unit w mod p (2a + 1 classes for odd p), or w mod min(8, 2^(a-j))
+    (4a - 4 classes for p = 2, a >= 2).  Returns the label of every residue
+    and the smallest member and the size of every class.
+    """
     import numpy as np
 
-    ln = len(a_arr)
-    full = _convolve_exact(a_arr, b_arr)
-    out = full[:ln].copy()
-    out[: len(full) - ln] += full[ln:]
-    return out
+    v = np.arange(p**a, dtype=np.int64)
+    labels = np.zeros(p**a, dtype=np.int64)
+    nonsquare = np.ones(p, dtype=bool)
+    nonsquare[np.arange(1, p) ** 2 % p] = False
+    first = 1
+    for j in range(a):
+        sel = (v % p**j == 0) & (v % p ** (j + 1) != 0)
+        w = v[sel] // p**j
+        if p == 2:
+            r = min(8, 2 ** (a - j))  # the only unit square mod r is 1
+            labels[sel] = first + w % r // 2
+            first += r // 2
+        else:
+            labels[sel] = first + nonsquare[w % p]
+            first += 2
+    labels.flags.writeable = False  # shared by every caller through the cache
+    reps = np.unique(labels, return_index=True)[1]
+    return labels, tuple(reps.tolist()), tuple(np.bincount(labels).tolist())
 
 
-def _block_counts(blocks, p: int, a: int) -> np.ndarray:
-    """Value distribution mod p^a of the orthogonal sum of the blocks."""
+@lru_cache(maxsize=32)
+def _class_constants(p: int, a: int) -> tuple:
+    """Row k: the (i, j, n) with n = #{w in C_i : v_k - w in C_j} > 0, v_k
+    the smallest member of class k, so (f * g)(v_k) = sum n f_i g_j."""
     import numpy as np
 
-    acc = _block_distribution(blocks[0], p, a)
-    for blk in blocks[1:]:
-        acc = _convolve_mod(acc, _block_distribution(blk, p, a))
+    labels, reps, _ = _square_classes(p, a)
+    n_cls, w = len(reps), np.arange(p**a, dtype=np.int64)
+    rows = []
+    for v in reps:
+        pairs = np.bincount(labels * n_cls + labels[(v - w) % p**a], minlength=n_cls**2)
+        nz = np.flatnonzero(pairs)
+        rows.append(tuple(zip((nz // n_cls).tolist(), (nz % n_cls).tolist(), pairs[nz].tolist())))
+    return tuple(rows)
+
+
+def _block_counts(blocks, p: int, a: int) -> list:
+    """Value counts mod p^a of the orthogonal sum of the blocks, one per square class.
+
+    Each block's histogram must be constant on the classes; the class
+    functions are convolved through `_class_constants` in exact Python
+    integers, and after each block the total sum |C_k| h_k must be
+    p^(a * rank).
+    """
+    import numpy as np
+
+    labels, reps, sizes = _square_classes(p, a)
+    acc, rank = None, 0
+    for blk in blocks:
+        hist = _block_distribution(blk, p, a)
+        vec = hist[list(reps)]
+        if not np.array_equal(hist, vec[labels]):
+            raise ValueError(f"histogram mod {p}^{a} is not constant on the square classes")
+        vec = vec.tolist()
+        acc = vec if acc is None else [sum(n * acc[i] * vec[j] for i, j, n in row) for row in _class_constants(p, a)]
+        rank += len(blk)
+        if sum(s * h for s, h in zip(sizes, acc)) != p ** (a * rank):
+            raise ValueError(f"counts mod {p}^{a} do not add up to {p}^({a}*{rank})")
     return acc
 
 
@@ -776,55 +828,52 @@ def _blocks_for(key: str, p: int):
 
 
 @lru_cache(maxsize=64)
+def _form_counts(key: str, p: int, a: int) -> tuple:
+    return tuple(_block_counts(_blocks_for(key, p), p, a))
+
+
+@lru_cache(maxsize=64)
 def _joint_counts(key: str, p: int, a: int) -> tuple:
     """Counts of S(X) = v mod p^a over (Z/p^a)^m, as a tuple of ints."""
     import numpy as np
 
     top = _TOP_LEVEL.get(p, 4)
     if a < top:
-        higher = _joint_counts(key, p, a + 1)
-        arr = np.array(higher, dtype=object).reshape(p, p ** a)
-        folded = arr.sum(axis=0)
-        mvars = FORMS[key].m
-        out = []
-        for x in folded.tolist():
-            q, r = divmod(int(x), p**mvars)
-            if r:
-                raise AssertionError("downfolding remainder")
-            out.append(q)
-        return tuple(out)
-    return tuple(int(x) for x in _block_counts(_blocks_for(key, p), p, a))
+        folded = np.array(_joint_counts(key, p, a + 1), dtype=object).reshape(p, p**a).sum(axis=0)
+        out = [divmod(int(x), p ** FORMS[key].m) for x in folded.tolist()]
+        if any(r for _, r in out):
+            raise AssertionError("downfolding remainder")
+        return tuple(q for q, _ in out)
+    counts = _form_counts(key, p, a)
+    return tuple(counts[c] for c in _square_classes(p, a)[0].tolist())
 
 
 _TOP_LEVEL = {2: 12, 3: 8}
+
+
+def _check_prime_level(p: int, a: int):
+    # a primality test by trial division, not a factorisation
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p = {p} is not a prime")
+    if a < 1:
+        raise ValueError(f"the level a = {a} must be at least 1")
 
 
 def local_density_oracle(p: int, a: int, local_form, t: int) -> Fraction:
     """Level-a density approximation p^{-a(m-1)} #{X mod p^a : S(X)=t}.
 
     ``local_form`` is a form key ('S5', 'A1D4', 'A5') or an explicit
-    symmetric rational matrix.
+    symmetric rational matrix; p must be a prime and a >= 1.
     """
+    _check_prime_level(p, a)
     if isinstance(local_form, str):
-        key = local_form
-        m = FORMS[key].m
+        m = FORMS[local_form].m
         if a <= _TOP_LEVEL.get(p, 4):
-            counts = _joint_counts(key, p, a)
-            cnt = counts[t % p**a]
-            return Fraction(cnt, p ** (a * (m - 1)))
-        blocks = _blocks_for(key, p)
+            return Fraction(_joint_counts(local_form, p, a)[t % p**a], p ** (a * (m - 1)))
+        counts = _form_counts(local_form, p, a)
     else:
-        blocks = jordan_split(local_form, p)[1]
-        m = len(local_form)
-    # only residue t is read, so the last block enters as a dot product
-    mod = p**a
-    last = _block_distribution(blocks[-1], p, a).tolist()
-    if len(blocks) == 1:
-        cnt = last[t % mod]
-    else:
-        head = _block_counts(blocks[:-1], p, a).tolist()
-        cnt = sum(h * last[(t - i) % mod] for i, h in enumerate(head) if h)
-    return Fraction(cnt, p ** (a * (m - 1)))
+        m, counts = len(local_form), _block_counts(jordan_split(local_form, p)[1], p, a)
+    return Fraction(counts[_square_classes(p, a)[0][t % p**a]], p ** (a * (m - 1)))
 
 
 class StabilizationError(RuntimeError):
@@ -834,7 +883,10 @@ class StabilizationError(RuntimeError):
 def oracle_alpha(form, p: int, t: int, a: int | None = None) -> Fraction:
     """Stabilized local density: equal values at consecutive levels, else error."""
     key = form.key if isinstance(form, OddForm) else form
+    if t < 1:
+        raise ValueError(f"t must be positive, got {t}")
     if a is None:
+        _check_prime_level(p, 1)
         a = _ord(2 * t, p) + 4
     v1 = local_density_oracle(p, a, key, t)
     v2 = local_density_oracle(p, a + 1, key, t)

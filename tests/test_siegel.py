@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -342,6 +343,139 @@ def test_oracle_stabilization_reporting():
         sg.oracle_alpha("A5", 3, 48, a=1)
     # and the default level is stable
     assert sg.oracle_alpha("A5", 3, 48) == sg.alpha3_A5(48)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: sg._ord(0, 2), id="ord-of-zero"),
+        pytest.param(lambda: sg._ord(12, 1), id="ord-base-one"),
+        pytest.param(lambda: sg.oracle_alpha("S5", 2, 0), id="alpha-t-zero"),
+        pytest.param(lambda: sg.oracle_alpha("A5", 3, -1), id="alpha-t-negative"),
+        pytest.param(lambda: sg.oracle_alpha("A5", 4, 1), id="alpha-p-four"),
+        pytest.param(lambda: sg.oracle_alpha("A5", 3, 1, a=0), id="alpha-level-zero"),
+        pytest.param(lambda: sg.local_density_oracle(1, 2, "S5", 1), id="oracle-p-one"),
+        pytest.param(lambda: sg.local_density_oracle(6, 2, sg.FORMS["S5"].s_matrix, 1), id="oracle-p-six"),
+        pytest.param(lambda: sg.local_density_oracle(4, 2, sg.FORMS["S5"].s_matrix, 1), id="oracle-matrix-p-four"),
+        pytest.param(lambda: sg.local_density_oracle(4, 2, "A5", 1), id="oracle-key-p-four"),
+        pytest.param(lambda: sg.local_density_oracle(2, 0, "S5", 1), id="oracle-level-zero"),
+        pytest.param(lambda: sg.local_density_oracle(2, -1, "S5", 1), id="oracle-level-negative"),
+        pytest.param(lambda: sg.local_density_oracle(3, 2, ((1, 1), (0, 1)), 1), id="oracle-non-symmetric"),
+        pytest.param(lambda: sg.local_density_oracle(3, 2, ((1, 0, 0), (0, 1)), 1), id="oracle-non-square"),
+    ],
+)
+def test_oracle_refuses_out_of_range_arguments(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+# every (p, a) with p^(2a) <= 2*10^4: small enough to count 2x2 blocks by brute force
+_SMALL_LEVELS = [(p, a) for p in (2, 3, 5, 7) for a in range(1, 8) if p ** (2 * a) <= 20000]
+
+
+def _brute_histogram(block, p, a):
+    """Count Q(x) = v mod p^a over all x in (Z/p^a)^k, one x at a time."""
+    mod = p**a
+
+    def red(x):
+        x = Fraction(x)
+        return x.numerator * pow(x.denominator, -1, mod) % mod
+
+    hist = [0] * mod
+    if len(block) == 1:
+        c = red(block[0][0])
+        for x in range(mod):
+            hist[c * x * x % mod] += 1
+        return hist
+    (qa, b), (_, qc) = block
+    qa, qb, qc = red(qa), red(2 * Fraction(b)), red(qc)
+    for x in range(mod):
+        for y in range(mod):
+            hist[(qa * x * x + qb * x * y + qc * y * y) % mod] += 1
+    return hist
+
+
+@st.composite
+def _small_block(draw, p, a):
+    # entries scaled by powers of p, so that the split meets every gcd g;
+    # the off-diagonal entry may be half-integral (an odd cross term at p = 2)
+    def entry():
+        return draw(st.integers(-40, 40)) * p ** draw(st.integers(0, a))
+
+    if draw(st.booleans()):
+        return ((Fraction(entry()),),)
+    b = Fraction(entry(), draw(st.sampled_from([1, 2])))
+    return ((Fraction(entry()), b), (b, Fraction(entry())))
+
+
+@st.composite
+def _level_and_blocks(draw, max_blocks):
+    p, a = draw(st.sampled_from(_SMALL_LEVELS))
+    return p, a, draw(st.lists(_small_block(p, a), min_size=1, max_size=max_blocks))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_level_and_blocks(1))
+def test_split_histogram_matches_brute_force(case):
+    p, a, (block,) = case
+    assert sg._block_distribution(block, p, a).tolist() == _brute_histogram(block, p, a)
+
+
+def _cyclic_convolution(f, g):
+    f, g = np.array(f, dtype=object), np.array(g, dtype=object)
+    out = np.zeros(len(f), dtype=object)
+    for i, x in enumerate(f.tolist()):
+        if x:
+            out += x * np.roll(g, i)
+    return out.tolist()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_level_and_blocks(3))
+def test_class_convolution_matches_full_convolution(case):
+    p, a, blocks = case
+    full = _brute_histogram(blocks[0], p, a)
+    for blk in blocks[1:]:
+        full = _cyclic_convolution(full, _brute_histogram(blk, p, a))
+    counts = sg._block_counts(blocks, p, a)
+    labels, _, sizes = sg._square_classes(p, a)
+    assert [counts[c] for c in labels.tolist()] == full
+    assert len(sizes) == (2 * a + 1 if p > 2 else max(4 * a - 4, 2))
+
+
+def test_class_convolution_refuses_bad_histograms(monkeypatch):
+    blocks = sg._blocks_for("A5", 3)
+    honest = sg._block_distribution
+    sg._block_counts(blocks, 3, 3)  # the true histograms pass
+
+    def off_class(block, p, a):
+        hist = honest(block, p, a).copy()
+        hist[1] += 1  # 1 shares its class with 4, 7, ...; the mass moves off 0
+        hist[0] -= 1
+        return hist
+
+    monkeypatch.setattr(sg, "_block_distribution", off_class)
+    with pytest.raises(ValueError, match="not constant on the square classes"):
+        sg._block_counts(blocks, 3, 3)
+    monkeypatch.setattr(sg, "_block_distribution", lambda block, p, a: 2 * honest(block, p, a))
+    with pytest.raises(ValueError, match="do not add up"):
+        sg._block_counts(blocks, 3, 3)
+
+
+def test_closed_alphas_match_oracle_on_every_cell():
+    # the closed forms depend on t through ord_p t and the unit class of t
+    # (mod 8 at p = 2, mod 3 at p = 3): one t per cell, up to ord_2 t = 12
+    # (levels 17 and 18) and ord_3 t = 6
+    for e in range(13):
+        for u in (1, 3, 5, 7):
+            t = 2**e * u
+            assert sg.alpha2_S5(t) == sg.oracle_alpha("S5", 2, t), t
+            assert sg.alpha2_A1D4(t) == sg.oracle_alpha("A1D4", 2, t), t
+            assert sg.alpha2_A5(t) == sg.oracle_alpha("A5", 2, t), t
+    for e in range(7):
+        for u in (1, 2):
+            t = 3**e * u
+            assert sg.alpha3_A5(t) == sg.oracle_alpha("A5", 3, t), t
 
 
 def test_siegel_r_examples():

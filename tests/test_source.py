@@ -63,3 +63,25 @@ def test_numpy_is_imported_where_it_runs():
             if any(name.split(".")[0] == "numpy" for name in names):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_density_oracle_names_no_closed_form():
+    # the counting oracle certifies the closed-form densities, so no function
+    # it reaches in siegel.py may name one of them or the factorisation
+    tree = ast.parse((SRC / "siegel.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def names(fn):
+        return {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)} - {None}
+
+    roots = ("local_density_oracle", "oracle_alpha", "_joint_counts", "_form_counts", "_block_counts", "_block_distribution", "_square_classes", "_class_constants")
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(n for n in names(functions[name]) if n in functions)
+    closed = {"alpha3_A5", "alpha_regular", "_CLOSED_ALPHAS", "alpha_closed", "local_factor", "_factor"}
+    offenders = {fn: sorted(n for n in names(functions[fn]) if n in closed or n.startswith("alpha2_")) for fn in sorted(reached)}
+    assert {fn: bad for fn, bad in offenders.items() if bad} == {}
+    assert {"jordan_split", "_ord", "_check_prime_level"} <= reached
