@@ -292,6 +292,8 @@ def _cmd_e7_search(args):
 def _cmd_inequality(args):
     from . import kodaira as ko
 
+    if args.m_max < 1:
+        raise ValueError("--m-max must be positive")
     rows = []
     for m in range(1, args.m_max + 1):
         holds, slack = ko.inequality_check(m, args.coeff)

@@ -8,20 +8,34 @@ is exhaustive over the norm-2d shell, organized by the coordinate model
 E7 = {x in Z^8 union (Z + 1/2)^8 : sum x_i = 0} whose vectors are doubled to
 integer 8-tuples of constant parity; permutation-symmetry classes (sorted
 tuples) cut the work by orders of magnitude without losing exhaustiveness.
-A class's lex-smallest witness is built, not searched: at most 8 candidates
-(one per first coordinate, the rest in descending order) instead of 8!.
+
+The classes are enumerated one coordinate at a time, every prefix of a
+shell at once as rows of one integer array.  Each value is bounded from
+both the remaining sum and the remaining sum of squares: the later
+coordinates are no smaller, so their squares can sum neither to less than
+when they are all equal nor to more than when all but one equal this value.
+The last two coordinates come in closed form from (b - a)^2 = 2q - s^2.
+
+The invariants of a shell's classes are computed on the same array: the
+orthogonal-root count (equal pairs, plus the zero sums of the 35
+four-subsets through coordinate 0 by one matrix product), the class size
+8!/prod m!, and the lex-smallest witness.  The witness is built, not
+searched: one candidate per class (its minimum, then the rest in descending
+order) instead of 8!, narrowed column by column to the lex-min.
+Each shell is cached as one compact int16 class array with its root counts,
+and every shell size is checked against the independent DP count
+`counts_e7`.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .lattices import E7, E7_SIMPLE_DOUBLED, counts_e7, enumerate_norm, inner
-from .qseries import theta_A, theta_D
+from .lattices import E7, E7_SIMPLE_DOUBLED, counts_e7, enumerate_norm
 
 __all__ = [
     "WITNESS_TABLE",
@@ -52,8 +66,19 @@ WITNESS_TABLE = (
 )
 
 
+def _integer_coords(v, n):
+    """The n coordinates of v as ints; anything else is refused."""
+    if len(v) != n:
+        raise ValueError(f"expected {n} coordinates, got {len(v)}")
+    try:
+        return tuple(map(operator.index, v))
+    except TypeError:
+        raise ValueError(f"coordinates must be integers: {tuple(v)}") from None
+
+
 def lambda_to_doubled(lam):
     """Simple-root coordinates -> doubled ambient 8-tuple (sum zero)."""
+    lam = _integer_coords(lam, 7)
     z = [0] * 8
     for coef, vec in zip(lam, E7_SIMPLE_DOUBLED):
         for i in range(8):
@@ -69,6 +94,7 @@ def doubled_to_lambda(z):
     Only v7 touches e_1, so its coefficient is z[0]; the rest is a prefix
     sum along the difference chain v_1..v_6.
     """
+    z = _integer_coords(z, 8)
     lam7 = z[0]
     v7 = E7_SIMPLE_DOUBLED[6]
     u = [zi - lam7 * vi for zi, vi in zip(z, v7)]
@@ -81,93 +107,141 @@ def doubled_to_lambda(z):
         lam.append(-acc // 2)
     lam.append(lam7)
     lam = tuple(lam)
-    if lambda_to_doubled(lam) != tuple(z):
+    if lambda_to_doubled(lam) != z:
         raise ValueError("vector is not in the lattice")
     return lam
 
 
 @lru_cache(maxsize=1)
-def _e7_roots_basis():
-    return enumerate_norm(E7(), 2)
+def _e7_root_forms():
+    """G r for each of the 126 roots r of E7 (Gram matrix G), so that the
+    inner product of lam with r is the dot product of lam and G r."""
+    g = E7().gram
+    return tuple(tuple(sum(gi[j] * r[j] for j in range(7)) for gi in g) for r in enumerate_norm(E7(), 2))
 
 
 def orthogonal_root_count(lam) -> int:
     """Number of the 126 roots orthogonal to the given vector
     (simple-root coordinates)."""
-    L = E7()
+    lam = _integer_coords(lam, 7)
     if not any(lam):
         raise ValueError("the zero vector is excluded")
-    return sum(1 for r in _e7_roots_basis() if inner(L, lam, r) == 0)
+    return sum(1 for w in _e7_root_forms() if sum(a * b for a, b in zip(lam, w)) == 0)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive shell search in the sum-zero model
 
 
-def _sorted_shells(total_sq: int, parity: int):
-    """Nondecreasing integer 8-tuples z with sum 0, sum z^2 = total_sq and
-    all z_i = parity mod 2."""
-    out = []
-    z = [0] * 8
+def _isqrt(x):
+    """Elementwise isqrt of a nonnegative int64 array below 2^52, where the
+    float square root is off by at most one."""
+    import numpy as np
 
-    def rec(idx, lo, rem_sum, rem_sq):
-        k = 8 - idx
-        if k == 1:
-            if rem_sum >= lo and rem_sum * rem_sum == rem_sq and rem_sum % 2 == parity:
-                z[idx] = rem_sum
-                out.append(tuple(z))
-            return
-        # k coordinates, each >= val and nondecreasing:
-        #   k*val <= rem_sum            (monotone bound)
-        #   (rem_sum - val)^2 <= (k-1)(rem_sq - val^2)   (Cauchy-Schwarz)
-        root = isqrt(rem_sq)
-        hi = min(root, rem_sum // k)
-        start = max(lo, rem_sum - isqrt((k - 1) * rem_sq), -root)
-        if (start - parity) % 2:
-            start += 1
-        for val in range(start, hi + 1, 2):
-            sq = val * val
-            nq = rem_sq - sq
-            if nq < 0:
-                continue
-            ns = rem_sum - val
-            if ns * ns > (k - 1) * nq:
-                continue
-            z[idx] = val
-            rec(idx + 1, val, ns, nq)
-        z[idx] = 0
-
-    lo0 = -isqrt(total_sq) - 1
-    rec(0, lo0, 0, total_sq)
-    return out
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
 
 
-# the 35 four-subsets {0, a, b, c} of the coordinates, one of each
-# complementary pair
-_QUAD_REST = tuple(itertools.combinations(range(1, 8), 3))
+def _grow(prefix, parity, lo, s, q):
+    """Append every admissible next value to each prefix, in order.
+
+    With k coordinates left that sum to s and whose squares sum to q, put
+    D = k*q - s^2.  The next value v is the least of the k, so the other
+    j = k - 1 are >= v and sum to s - v.  Their squares sum to at least
+    (s - v)^2 / j (all equal) and to at most (j - 1)*v^2 + (s - j*v)^2 (all but
+    one equal to v).  In t = s - k*v >= 0 the two bounds read t^2 <= j*D and
+    j*t^2 >= D, so every v in range leaves a shell that real numbers can
+    fill.
+    """
+    import numpy as np
+
+    k = 8 - prefix.shape[1]
+    j = k - 1
+    D = k * q - s * s
+    t_max = _isqrt(j * D)
+    t_min = _isqrt(-(-D // j))
+    t_min += j * t_min * t_min < D
+    start = np.maximum(lo, -((t_max - s) // k))
+    start += (start - parity) % 2
+    # how many of start, start + 2, ... are <= (s - t_min) // k
+    n = np.maximum((s - t_min) // k - start, -2) // 2 + 1
+    row = np.repeat(np.arange(len(n)), n)
+    v = start[row] + 2 * (np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n))
+    return np.column_stack((prefix[row], v)), parity[row], v, s[row] - v, q[row] - v * v
 
 
-def _class_root_count(z) -> int:
-    """Orthogonal-root count of a shell class (permutation invariant)."""
-    # integer roots e_i - e_j: orthogonal iff z_i = z_j
-    counts = Counter(z)
-    n_int = sum(m * (m - 1) for m in counts.values())
-    # half-vector roots: subsets P of size 4 with sum_P z = 0 give a +/- pair.
-    # The class sums to zero, so P sums to 0 exactly when its complement
-    # does: count the subsets holding coordinate 0 and double.
-    target = -z[0]
-    n_half = 2 * sum(z[a] + z[b] + z[c] == target for a, b, c in _QUAD_REST)
-    return n_int + n_half
+# five-coordinate prefixes completed per block: the last step tries about
+# eight values per class it finds, so blocks bound its arrays
+_BLOCK = 1 << 14
 
 
-def _class_size(z) -> int:
-    size = factorial(8)
-    for m in Counter(z).values():
-        size //= factorial(m)
-    return size
+def _sorted_shells(total_sq: int):
+    """Nondecreasing integer 8-tuples z with sum 0, sum z^2 = total_sq and all
+    z_i of one parity, as int64 arrays of rows: the even tuples, then the odd
+    ones, each in lex order.
+
+    The tuples grow one coordinate at a time, all prefixes at once (`_grow`),
+    and the last two coordinates a <= b follow from (b - a)^2 = 2q - s^2.
+    """
+    import numpy as np
+
+    # one row per prefix: its values, their parity, the least next value,
+    # and the sum and the sum of squares still to place
+    state = (
+        np.zeros((2, 0), dtype=np.int64),
+        np.array([0, 1]),
+        np.full(2, -isqrt(total_sq)),
+        np.zeros(2, dtype=np.int64),
+        np.full(2, total_sq),
+    )
+    for _ in range(5):
+        state = _grow(*state)
+    for i in range(0, len(state[1]), _BLOCK):
+        prefix, parity, lo, s, q = _grow(*(part[i : i + _BLOCK] for part in state))
+        e = 2 * q - s * s
+        gap = _isqrt(np.maximum(e, 0))
+        a = (s - gap) // 2
+        # s is minus a sum of six values of one parity, so even, and a is exact
+        ok = (gap * gap == e) & (gap % 2 == 0) & (a >= lo) & (a % 2 == parity)
+        yield np.column_stack((prefix[ok], a[ok], a[ok] + gap[ok]))
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=1)
+def _quad_matrix():
+    """(8, 35) 0/1 matrix: one column per four-subset {0, a, b, c}, which
+    holds coordinate 0 and so stands for one of each complementary pair."""
+    import numpy as np
+
+    m = np.zeros((8, 35), dtype=np.int64)
+    for col, rest in enumerate(itertools.combinations(range(1, 8), 3)):
+        m[(0, *rest), col] = 1
+    return m
+
+
+def _class_invariants(z):
+    """Orthogonal-root counts and permutation-class sizes of sorted rows z.
+
+    Integer roots e_i - e_j are orthogonal to z iff z_i = z_j, which gives
+    sum m(m - 1) over the runs of equal values, twice the sum of each
+    entry's 0-based position within its run.  A half-vector root is
+    orthogonal iff its four-subset P has sum_P z = 0, one +/- pair each; a
+    class sums to zero, so P does iff its complement does, and the subsets
+    through coordinate 0 are counted twice.  The class size is
+    8! / prod m! = 8! / prod (1-based position within the run).
+    """
+    import numpy as np
+
+    pos = np.zeros_like(z)
+    for i in range(1, 8):
+        pos[:, i] = (pos[:, i - 1] + 1) * (z[:, i] == z[:, i - 1])
+    counts = 2 * pos.sum(axis=1) + 2 * np.count_nonzero(z @ _quad_matrix() == 0, axis=1)
+    sizes = factorial(8) // np.prod(pos + 1, axis=1)
+    return counts, sizes
+
+
+@dataclass(frozen=True, slots=True)
 class E7SearchResult:
     d: int
     shell_size: int
@@ -187,41 +261,56 @@ class E7SearchResult:
 
 @lru_cache(maxsize=64)
 def _shell_classes(d: int):
-    """(shell size, {orthogonal count: [sorted class tuples]}) for norm 2d."""
-    per_class = {}
-    shell = 0
-    for parity in (0, 1):
-        for z in _sorted_shells(8 * d, parity):
-            n = _class_root_count(z)
-            shell += _class_size(z)
-            per_class.setdefault(n, []).append(z)
+    """(shell size, classes, counts) for the norm-2d shell: one int16 row per
+    permutation class (a sorted doubled 8-tuple) and its orthogonal-root
+    count."""
+    import numpy as np
+
+    # |z_i| <= sqrt(8d) must fit the int16 cache; this also keeps the
+    # enumeration's square roots (of at most 448d) below 2^52
+    if isqrt(8 * d) > np.iinfo(np.int16).max:
+        raise ValueError(f"d={d} is beyond the int16 class cache")
+    shell, classes, counts = 0, [], []
+    for z in _sorted_shells(8 * d):
+        n, sizes = _class_invariants(z)
+        shell += int(sizes.sum())
+        classes.append(z.astype(np.int16))
+        counts.append(n.astype(np.int16))
     expected = counts_e7(d + 1)[d]
     if shell != expected:
         raise AssertionError(f"shell size mismatch at d={d}: {shell} vs {expected}")
-    return shell, per_class
+    return shell, np.concatenate(classes), np.concatenate(counts)
 
 
 def _lex_min_witness(classes) -> tuple:
     """Lexicographically smallest simple-root coordinate tuple over all
-    coordinate permutations of the given shell classes.
+    coordinate permutations of the given shell classes (doubled 8-tuples).
 
     lambda_7 = z_0 and lambda_i = lambda_{i-1} - (z_i - z_0 * v7_i) / 2, so
-    with z_0 fixed each lambda_i falls as z_i grows and the lex-min puts the
-    other seven values in descending order: one candidate per distinct z_0.
+    lambda_1 = (z_0 - z_1) / 2 is least when z_0 is the class minimum and z_1
+    its maximum, and with z_0 fixed each later lambda_i falls as z_i grows:
+    one candidate per class, its minimum followed by the rest in descending
+    order, instead of 8! permutations.
     """
-    best = None
-    for z in classes:
-        # all permutations lie in the lattice iff one parity and sum zero
-        if sum(z) or len({zi % 2 for zi in z}) != 1:
-            raise AssertionError("shell class left the lattice")
-        desc = sorted(z, reverse=True)
-        for z0 in set(z):
-            i = desc.index(z0)
-            cand = doubled_to_lambda((z0, *desc[:i], *desc[i + 1 :]))
-            if best is None or cand < best:
-                best = cand
+    import numpy as np
+
+    z = np.sort(np.asarray(classes, dtype=np.int64).reshape(-1, 8), axis=1)
+    # all permutations lie in the lattice iff one parity and sum zero
+    if z.sum(axis=1).any() or (z % 2 != z[:, :1] % 2).any():
+        raise AssertionError("shell class left the lattice")
+    cand = z[:, [0, 7, 6, 5, 4, 3, 2, 1]]
+    # doubled_to_lambda on every candidate: a prefix sum along v_1..v_6
+    num = np.cumsum(cand[:, 1:7] - cand[:, :1] * np.array(E7_SIMPLE_DOUBLED[6][1:7]), axis=1)
+    if (num % 2).any():
+        raise AssertionError("odd simple-root numerator in a lattice class")
+    lam = np.column_stack((-num // 2, cand[:, 0]))
+    # lex-min row: narrow to the minimum of each column in turn
+    keep = np.arange(len(lam))
+    for col in range(7):
+        keep = keep[lam[keep, col] == lam[keep, col].min()]
+    best = tuple(lam[keep[0]].tolist())
     # exact reconstruction check on the chosen witness
-    if doubled_to_lambda(lambda_to_doubled(best)) != best:
+    if doubled_to_lambda(tuple(cand[keep[0]].tolist())) != best:
         raise AssertionError("witness does not round-trip through the doubled model")
     return best
 
@@ -233,14 +322,16 @@ def search(d: int, max_roots: int = 14) -> E7SearchResult:
     Returns the achievable set of orthogonal-root counts >= 2, the minimum,
     and the lexicographically smallest witness vector attaining it.
     """
+    import numpy as np
+
     if d < 1:
         raise ValueError("d must be positive")
-    shell, per_class = _shell_classes(d)
-    achievable = tuple(sorted(n for n in per_class if n >= 2))
+    shell, classes, counts = _shell_classes(d)
+    achievable = tuple(n for n in np.flatnonzero(np.bincount(counts)).tolist() if n >= 2)
     if not achievable:
         return E7SearchResult(d, shell, achievable, None, None, max_roots)
     best = achievable[0]
-    return E7SearchResult(d, shell, achievable, best, _lex_min_witness(per_class[best]), max_roots)
+    return E7SearchResult(d, shell, achievable, best, _lex_min_witness(classes[counts == best]), max_roots)
 
 
 def weight(n_orthogonal: int) -> int:
@@ -259,6 +350,9 @@ def weight(n_orthogonal: int) -> int:
 
 @lru_cache(maxsize=4)
 def _theta_tables(prec: int):
+    # only the inequality reads theta series; a search or verdict loads no qseries
+    from .qseries import theta_A, theta_D
+
     d6 = theta_D(6, prec).coeffs
     a5 = theta_A(5, prec).coeffs
     a1 = theta_A(1, prec)
@@ -274,6 +368,8 @@ def inequality_check(m: int, coefficient: int, prec: int = 128):
     """
     if coefficient not in (5, 6):
         raise ValueError("coefficient must be 5 or 6")
+    if m < 1:
+        raise ValueError("m must be positive")
     if m >= prec:
         prec = m + 1
     d6, a1d4, a5 = _theta_tables(max(prec, 128))
@@ -281,7 +377,7 @@ def inequality_check(m: int, coefficient: int, prec: int = 128):
     return slack > 0, slack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     d: int
     classification: str  # GeneralType | NonNegativeKodaira | Inconclusive
@@ -305,7 +401,7 @@ def verdict(d: int) -> Verdict:
     res = search(d)
     if res.min_orthogonal is not None and 2 <= res.min_orthogonal <= 14:
         return Verdict(d, "GeneralType", res.min_orthogonal, weight(res.min_orthogonal), res.witness)
-    if res.achievable and 16 in res.achievable:
-        _, per_class = _shell_classes(d)
-        return Verdict(d, "NonNegativeKodaira", 16, weight(16), _lex_min_witness(per_class[16]))
+    if 16 in res.achievable:
+        _, classes, counts = _shell_classes(d)
+        return Verdict(d, "NonNegativeKodaira", 16, weight(16), _lex_min_witness(classes[counts == 16]))
     return Verdict(d, "Inconclusive", res.min_orthogonal, None, None)

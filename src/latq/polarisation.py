@@ -10,7 +10,7 @@ orbit count is therefore the number of admissible residues c, which the
 oracle counts directly from the congruence f^2 | d + c^2 t; the case-split
 closed formulas are checked against it.
 
-The closed formulas factor through `siegel._factor`, the one factorisation
+The closed formulas factor through `arith._factor`, the one factorisation
 in latq; the oracles count residues and factor nothing.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .siegel import _factor
+from .arith import _factor
 
 __all__ = [
     "PolarisationQuery",

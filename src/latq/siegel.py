@@ -20,10 +20,10 @@ arithmetic:
     (exact Cohen-number route, numeric L-value route) that must agree.
 
 Every factorisation in latq (square-free kernels, b_n, divisors, Moebius,
-and the polarisation counts) is read off the one trial division `_factor`,
-and every integer p-adic valuation is `_ord`.  The numeric L-value route
-factors no n: it tabulates b_n for all n at once from the per-prime-power
-counts over a prime sieve.  The brute-force b_n and the counting oracle
+and the polarisation counts) is read off the one trial division
+`arith._factor`, and every integer p-adic valuation is `arith._ord`.  The
+numeric L-value route factors no n: it tabulates b_n for all n at once from
+the per-prime-power counts over a prime sieve.  The brute-force b_n and the counting oracle
 factor nothing either, so they stay independent of the closed forms they
 certify.
 
@@ -38,6 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
+from .arith import _factor, _ord
 from .lattices import A as _A
 from .lattices import D as _D
 from .lattices import direct_sum, span
@@ -104,38 +105,6 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def _ord(n: int, p: int) -> int:
-    """The exponent of the prime p in n != 0."""
-    if n == 0 or p < 2:
-        raise ValueError("the valuation needs n != 0 and p >= 2")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
-def _factor(n: int):
-    """Yield (p, e) with n = prod p^e and p increasing, for n >= 1.
-
-    Trial division by 2 and then by odd d with d^2 <= n; this is the only
-    factorisation in latq.  The pairs come lazily, so a caller that stops
-    early (b_n on a zero local count) also stops the trial division.
-    """
-    if n < 1:
-        raise ValueError("only a positive integer has a factorisation")
-    d, step = 2, 1
-    while d * d <= n:
-        if n % d == 0:
-            e = _ord(n, d)
-            yield d, e
-            n //= d**e
-        d += step
-        step = 2
-    if n > 1:
-        yield n, 1
 
 
 def _squarefree_kernel(n: int):

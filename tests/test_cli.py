@@ -142,12 +142,15 @@ def test_usage_error_exit_1(capsys):
         (("orbits", "--t", "3", "--d", "3", "--f", "-2"), cli.USAGE_ERROR),
         (("theta", "--lattice", "D4", "--prec", "0"), cli.USAGE_ERROR),
         (("theta", "--lattice", "D4", "--prec", "-2", "--method", "closed"), cli.USAGE_ERROR),
+        (("inequality", "--coeff", "5", "--m-max", "0"), cli.USAGE_ERROR),
     ],
 )
 def test_bad_input_exit_codes(capsys, argv, code):
     code_got, out, err = run_cli(capsys, *argv)
     assert code_got == code
     assert out == "" and "Traceback" not in err
+    if argv[0] == "inequality":
+        assert err.startswith("error:")
 
 
 def test_theta_enum_prec_0_is_empty(capsys):

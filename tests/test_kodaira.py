@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import random
+from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +43,16 @@ def test_counts_invariant_under_reflections():
         assert ko.orthogonal_root_count(v) == ko.orthogonal_root_count(w)
 
 
+def test_non_integer_coordinates_are_refused():
+    for bad in ((1.5, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0.0), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            ko.orthogonal_root_count(bad)
+        with pytest.raises(ValueError):
+            ko.lambda_to_doubled(bad)
+    with pytest.raises(ValueError):
+        ko.doubled_to_lambda((0.5, 0.5, 0.5, 0.5, -0.5, -0.5, -0.5, -0.5))
+
+
 def test_coordinate_model_round_trip():
     rng = random.Random(17)
     for _ in range(30):
@@ -62,6 +75,39 @@ def test_search_against_generic_enumeration():
         eligible = [n for n in counts if n >= 2]
         assert list(res.achievable) == eligible
         assert res.shell_size == len(lt.enumerate_norm(E7, 2 * d))
+
+
+def test_sorted_shells_match_brute_force(monkeypatch):
+    # every nondecreasing 8-tuple of one parity, filtered by sum and norm;
+    # a block of two prefixes splits every shell across many blocks
+    for d in range(1, 9):
+        r = isqrt(8 * d)
+        brute = [
+            list(z)
+            for parity in (0, 1)
+            for z in itertools.combinations_with_replacement(range(-r + (r - parity) % 2, r + 1, 2), 8)
+            if sum(z) == 0 and sum(x * x for x in z) == 8 * d
+        ]
+        for block in (ko._BLOCK, 2):
+            monkeypatch.setattr(ko, "_BLOCK", block)
+            assert np.concatenate(list(ko._sorted_shells(8 * d))).tolist() == brute, (d, block)
+
+
+def test_class_root_counts_match_root_enumeration():
+    # the array count against the 126 enumerated roots, class by class
+    for d in range(1, 16):
+        _, classes, counts = ko._shell_classes(d)
+        for z, n in zip(classes.tolist(), counts.tolist()):
+            assert ko.orthogonal_root_count(ko.doubled_to_lambda(z)) == n, (d, z)
+
+
+def test_search_and_verdict_digest():
+    # sha256 of repr(search(d)) + repr(verdict(d)) for d = 1..100, as the
+    # recursive enumeration with per-class Python invariants produced them
+    digest = hashlib.sha256()
+    for d in range(1, 101):
+        digest.update((repr(ko.search(d)) + repr(ko.verdict(d))).encode())
+    assert digest.hexdigest() == "d1eeca1924c9cbc54e2774e5f6b586eddde1a4576fed505c868bd76dc51c15e1"
 
 
 def test_search_small_degrees():
@@ -109,6 +155,10 @@ def test_inequality_examples():
     assert ko.inequality_check(12, 6)[0]
     with pytest.raises(ValueError):
         ko.inequality_check(5, 7)
+    # a nonpositive m would index the theta tables from the end
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            ko.inequality_check(m, 5)
 
 
 def test_inequality_implies_search_success():
@@ -145,17 +195,16 @@ def brute_witness(classes):
 
 def test_witness_matches_brute_force_per_class():
     for d in range(1, 9):
-        _, per_class = ko._shell_classes(d)
-        for classes in per_class.values():
-            for z in classes:
-                assert ko._lex_min_witness([z]) == brute_witness([z]), (d, z)
+        _, classes, _ = ko._shell_classes(d)
+        for z in classes.tolist():
+            assert ko._lex_min_witness([z]) == brute_witness([z]), (d, z)
 
 
 def test_witness_matches_brute_force_on_search_classes():
     for d in (9, 11, 12, 19, 40):
-        _, per_class = ko._shell_classes(d)
+        _, classes, counts = ko._shell_classes(d)
         res = ko.search(d)
-        assert res.witness == brute_witness(per_class[res.min_orthogonal])
+        assert res.witness == brute_witness(classes[counts == res.min_orthogonal].tolist())
         # verdict reads the N = 16 classes at d = 9, 11 and the search elsewhere
         assert ko.verdict(d).witness == res.witness
 

@@ -67,9 +67,12 @@ def test_numpy_is_imported_where_it_runs():
 
 def test_density_oracle_names_no_closed_form():
     # the counting oracle certifies the closed-form densities, so no function
-    # it reaches in siegel.py may name one of them or the factorisation
-    tree = ast.parse((SRC / "siegel.py").read_text())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # it reaches in siegel.py, or in the arith.py helpers siegel imports, may
+    # name one of them or the factorisation
+    functions = {}
+    for name in ("arith.py", "siegel.py"):
+        tree = ast.parse((SRC / name).read_text())
+        functions.update({node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)})
 
     def names(fn):
         return {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)} - {None}
