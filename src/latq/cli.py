@@ -20,19 +20,28 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__
-from . import qseries as qs
 
 USAGE_ERROR = 1
 REFUSED = 2
 CROSSCHECK_FAILED = 3
 
+# qseries.DEFAULT_PREC; only `theta` loads qseries, through _qs()
+_DEFAULT_PREC = 128
+
+
+def _qs():
+    from . import qseries
+
+    return qseries
+
+
 _THETA_CLOSED = {
-    "A1": lambda prec: qs.theta_A(1, prec),
-    "A2": lambda prec: qs.theta_A(2, prec),
-    "A5": lambda prec: qs.theta_A(5, prec),
-    "D4": lambda prec: qs.theta_D(4, prec),
-    "D6": lambda prec: qs.theta_D(6, prec),
-    "A1D4": lambda prec: qs.theta_A(1, prec) * qs.theta_D(4, prec),
+    "A1": lambda prec: _qs().theta_A(1, prec),
+    "A2": lambda prec: _qs().theta_A(2, prec),
+    "A5": lambda prec: _qs().theta_A(5, prec),
+    "D4": lambda prec: _qs().theta_D(4, prec),
+    "D6": lambda prec: _qs().theta_D(6, prec),
+    "A1D4": lambda prec: _qs().theta_A(1, prec) * _qs().theta_D(4, prec),
 }
 
 _LATTICE_NAMES = {"A1D4": "A1+D4"}
@@ -123,7 +132,7 @@ def _cache_lookup(args, name, prec):
     if not args.cache:
         return None
     try:
-        records = qs.load_theta_cache(args.cache)
+        records = _qs().load_theta_cache(args.cache)
     except FileNotFoundError:
         return None
     except ValueError as exc:
@@ -137,11 +146,11 @@ def _cache_store(args, name, prec, coeffs):
     if not args.cache:
         return
     try:
-        records = qs.load_theta_cache(args.cache)
+        records = _qs().load_theta_cache(args.cache)
     except (FileNotFoundError, ValueError):
         records = {}
     records[(name, 1, prec)] = list(coeffs)
-    qs.save_theta_cache(args.cache, records)
+    _qs().save_theta_cache(args.cache, records)
 
 
 def _cmd_repcount(args):
@@ -376,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", parents=[common], help="theta series coefficients")
     p.add_argument("--lattice", required=True, choices=sorted(set(_THETA_CLOSED) | {"E7"}))
-    p.add_argument("--prec", type=int, default=qs.DEFAULT_PREC)
+    p.add_argument("--prec", type=int, default=_DEFAULT_PREC)
     p.add_argument("--method", choices=("closed", "enum", "both"), default="both")
     p.set_defaults(func=_cmd_theta)
 

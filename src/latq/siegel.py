@@ -22,8 +22,9 @@ arithmetic:
 Every factorisation in latq (square-free kernels, b_n, divisors, Moebius,
 and the polarisation counts) is read off the one trial division
 `arith._factor`, and every integer p-adic valuation is `arith._ord`.  The
-numeric L-value route factors no n: it tabulates b_n for all n at once from
-the per-prime-power counts over a prime sieve.  The brute-force b_n and the counting oracle
+numeric L-value route factors no n: it tabulates b_n for all n at once over
+a prime sieve, with the Legendre symbols of every prime from one
+Euler-criterion pass on arrays.  The brute-force b_n and the counting oracle
 factor nothing either, so they stay independent of the closed forms they
 certify.
 
@@ -212,8 +213,8 @@ def b_n_bruteforce(delta: int, n: int) -> int:
 
 
 @lru_cache(maxsize=4)
-def _primes_upto(n: int) -> tuple:
-    """The primes p <= n, by the sieve of Eratosthenes."""
+def _primes_upto(n: int) -> np.ndarray:
+    """The primes p <= n as a read-only int64 array, by the sieve of Eratosthenes."""
     import numpy as np
 
     sieve = np.ones(n + 1, dtype=bool)
@@ -221,38 +222,99 @@ def _primes_upto(n: int) -> tuple:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return tuple(np.flatnonzero(sieve).tolist())
+    primes = np.flatnonzero(sieve).astype(np.int64)
+    primes.flags.writeable = False  # shared by every caller through the cache
+    return primes
+
+
+def _small_prime_count(terms: int) -> int:
+    """How many primes p <= terms are small: 2 and the p with p^2 <= terms."""
+    import numpy as np
+
+    return max(1, int(np.searchsorted(_primes_upto(terms), isqrt(terms), side="right")))
+
+
+@lru_cache(maxsize=4)
+def _large_prime_index(terms: int) -> np.ndarray:
+    """big[n] = i if the i-th large prime (the odd p with p^2 > terms) divides
+    n, else -1, for 0 <= n <= terms, as a read-only int32 array.
+
+    n <= terms has at most one prime factor p with p^2 > terms, and p || n,
+    so one index per n says all that the large primes contribute to b_n.
+    """
+    import numpy as np
+
+    big = np.full(terms + 1, -1, dtype=np.int32)
+    for i, p in enumerate(_primes_upto(terms)[_small_prime_count(terms) :].tolist()):
+        big[p::p] = i
+    big.flags.writeable = False
+    return big
+
+
+def _legendre(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """(r/p) for increasing primes p and 0 <= r < p, all at once by Euler's
+    criterion r^((p-1)/2) = (r/p) mod p, by square-and-multiply on arrays.
+    The entry at p = 2 means nothing.
+
+    Every product is below p^2, so p^2 must fit int64.
+    """
+    import numpy as np
+
+    if primes.size and int(primes[-1]) ** 2 >= 2**63:
+        raise ValueError("Euler's criterion on int64 needs p^2 < 2^63")
+    power, base, e = np.ones_like(residues), residues, (primes - 1) // 2
+    while e.any():
+        power = np.where(e & 1, power * base % primes, power)
+        base = base * base % primes
+        e = e >> 1
+    return np.where(power == primes - 1, -1, power)
 
 
 def _b_table(delta: int, terms: int) -> np.ndarray:
     """[b_n(delta, n) for n in 0..terms] as an int64 array; factors no n.
 
     b_n is half the product over p^e || 4n of the local counts
-    `_sqrt_count_mod_pp(delta, p, e)`, so each prime p <= terms multiplies
-    the multiples of p by its count at the exponent of p in 4n, and the odd
-    n by the 2-adic count at 2^2.  A local count at p^e is at most p^e, so
-    every entry and partial product is at most 4 * terms: int64 is exact.
+    `_sqrt_count_mod_pp(delta, p, e)`.  For an odd p not dividing delta the
+    count is 1 + (delta/p) at every exponent (Hensel), and the symbols of
+    all primes p <= terms come from one Euler-criterion pass over delta mod
+    p, reduced on Python ints so that any |delta| is exact.  So:
+
+      * 2 and the odd p | delta with p^2 <= terms multiply the multiples of
+        p by their count at the exponent of p in 4n (the odd n by the
+        2-adic count at 2^2);
+      * the other odd p with p^2 <= terms multiply every multiple of p by
+        1 + (delta/p), one slice each;
+      * the large primes (p^2 > terms) divide each n at most once and at
+        most one of them divides n, so they act by one gather through
+        `_large_prime_index`.  A large p | delta has count 1 = 1 + 0.
+
+    A local count at p^e is at most p^e, so every entry and partial product
+    is at most 4 * terms: int64 is exact.
     """
     import numpy as np
 
+    primes = _primes_upto(terms)
+    small = _small_prime_count(terms)
+    residues = (delta % primes.astype(object)).astype(np.int64)
+    loc = 1 + _legendre(residues, primes)
     h = np.ones(terms + 1, dtype=np.int64)
     h[0] = 0
     h[1::2] *= _sqrt_count_mod_pp(delta, 2, 2)
-    for p in _primes_upto(terms):
-        shift = 2 if p == 2 else 0
-        loc = _sqrt_count_mod_pp(delta, p, 1 + shift)
-        if p * p > terms:
-            # only p || n occurs; for p not dividing delta, loc = 1 + (delta/p)
-            h[p::p] *= loc
+    for p, r, c in zip(primes[:small].tolist(), residues[:small].tolist(), loc[:small].tolist()):
+        if p != 2 and r:
+            h[p::p] *= c
             continue
         # local[k - 1] is the count for n = p * k; p^e | n  <=>  p^(e-1) | k
-        local = np.full(terms // p, loc, dtype=np.int64)
+        shift = 2 if p == 2 else 0
+        local = np.full(terms // p, _sqrt_count_mod_pp(delta, p, 1 + shift), dtype=np.int64)
         q, e = p, 2
         while q * p <= terms:
             local[q - 1 :: q] = _sqrt_count_mod_pp(delta, p, e + shift)
             q *= p
             e += 1
         h[p::p] *= local
+    # index -1 (no large prime factor) picks the trailing 1
+    h *= np.append(loc[small:], 1)[_large_prime_index(terms)]
     return h // 2
 
 
@@ -264,10 +326,15 @@ def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
     """Rigorous enclosure (lo, hi) of zeta(2s)/zeta(s) * sum b_n(delta) n^-s
     at s = 2, the only point the representation numbers need.
 
-    The b_n come from `_b_table`, which multiplies per-prime-power counts
-    over a prime sieve and factors no n.  The partial sum adds b_n / n^s in
-    increasing n.  The tail is bounded through b_n <= 2 * 2^omega(n) *
-    sqrt|delta|.
+    The b_n come from `_b_table`, which reads them off Euler's criterion
+    over a prime sieve and factors no n.  The partial sum is the last entry
+    of `np.cumsum` of b_n / n^s over the n with b_n != 0: add.accumulate adds
+    left to right, so the float is the one a loop over increasing n gives,
+    bit for bit (each term is the correctly rounded quotient, as n^2 < 2^53
+    is exact).  np.sum (pairwise), math.fsum and, from Python 3.12, the
+    builtin sum (compensated) would each change the last bits, and with them
+    the L2_bounds of `siegel --report`.  The tail is bounded through
+    b_n <= 2 * 2^omega(n) * sqrt|delta|.
     """
     import numpy as np
 
@@ -280,10 +347,8 @@ def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
     if terms < 1:
         raise ValueError("terms must be positive")
     table = _b_table(delta, terms)
-    nonzero = np.flatnonzero(table)
-    partial = 0.0
-    for n, bn in zip(nonzero.tolist(), table[nonzero].tolist()):
-        partial += bn / n**s
+    nz = np.flatnonzero(table)
+    partial = float(np.cumsum(table[nz] / nz.astype(np.float64) ** s)[-1])
     # sum_{n>N} d(n) n^-s <= (2 ln N + 3.7) / N^{s-1} / (s-1)  (see module tests)
     tail_d = (2 * math.log(terms) + 3.7) / (terms ** (s - 1)) / (s - 1)
     tail = 2.0 * math.sqrt(abs(delta)) * tail_d
@@ -710,7 +775,7 @@ def _block_distribution(block, p: int, a: int) -> np.ndarray:
         # B((x, y), (z, w)) = (2 qa x + qb y) z + (qb x + 2 qc y) w
         g = np.gcd(np.gcd((2 * qa % low * x + qb % low * y) % low, (qb % low * x + 2 * qc % low * y) % low), low)
     out = np.zeros(mod, dtype=np.int64)
-    for gv in np.unique(g).tolist():
+    for gv in np.flatnonzero(np.bincount(g)).tolist():
         step = p**c * gv
         hist = np.bincount(vals[g == gv] % step, minlength=step)
         out += np.tile(hist * (low ** (len(block) - 1) * gv), mod // step)
@@ -745,8 +810,10 @@ def _square_classes(p: int, a: int):
             labels[sel] = first + nonsquare[w % p]
             first += 2
     labels.flags.writeable = False  # shared by every caller through the cache
-    reps = np.unique(labels, return_index=True)[1]
-    return labels, tuple(reps.tolist()), tuple(np.bincount(labels).tolist())
+    # every class is nonempty; a stable sort keeps each class's smallest member first
+    sizes = np.bincount(labels)
+    reps = np.argsort(labels, kind="stable")[np.cumsum(sizes) - sizes]
+    return labels, tuple(reps.tolist()), tuple(sizes.tolist())
 
 
 @lru_cache(maxsize=32)
@@ -868,7 +935,7 @@ def oracle_alpha(form, p: int, t: int, a: int | None = None) -> Fraction:
 # assembled representation numbers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DensityReport:
     form: str
     t: int

@@ -196,3 +196,9 @@ def test_cache_roundtrip_and_recovery(tmp_path, capsys):
     assert code == 0
     assert out4 == out1
     assert "ignoring cache" in err
+
+
+def test_theta_default_precision_is_qseries_default():
+    from latq import qseries as qs
+
+    assert cli._DEFAULT_PREC == qs.DEFAULT_PREC

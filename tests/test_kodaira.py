@@ -161,6 +161,33 @@ def test_inequality_examples():
             ko.inequality_check(m, 5)
 
 
+def test_inequality_scan_builds_few_tables():
+    # the tables are built at powers of two, not at every m >= 128
+    ko._theta_tables.cache_clear()
+    for m in range(1, 301):
+        ko.inequality_check(m, 5)
+    assert ko._theta_tables.cache_info().misses <= 3
+    # an explicit precision is covered by the same tables
+    assert ko.inequality_check(17, 5, prec=200) == ko.inequality_check(17, 5) == (True, 12120)
+    assert ko._theta_tables.cache_info().misses <= 3
+
+
+# sha256 of `latq inequality --coeff c --m-max 300`, as the scan that built
+# one table per m >= 128 printed it
+INEQUALITY_SHA256 = {
+    "5": "df8a69312cd15e1f66b820d6e95cff6927b4f4e158ffa37f8cd38acff2f5eac0",
+    "6": "9a178be2a2ce80a4f01b31f674ea3f4dc4660ea8ab02722c99826877b9a697b2",
+}
+
+
+@pytest.mark.parametrize("coeff", sorted(INEQUALITY_SHA256))
+def test_inequality_scan_output_is_pinned(coeff, capsys):
+    from latq import cli
+
+    assert cli.main(["inequality", "--coeff", coeff, "--m-max", "300"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == INEQUALITY_SHA256[coeff]
+
+
 def test_inequality_implies_search_success():
     for d in range(1, 31):
         if ko.inequality_check(d, 5)[0]:

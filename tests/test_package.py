@@ -75,3 +75,44 @@ def test_numpy_free_subcommands_do_not_load_numpy(tmp_path, argv):
     if argv[0] in ("orbits", "index"):
         # polarisation takes its factorisation from latq.arith
         assert {"latq.siegel", "latq.lattices"}.isdisjoint(got["latq"]), got["latq"]
+
+
+_RUN_CLI_SEQUENCE = """
+import contextlib, io, json, sys
+import latq.cli
+loaded = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = latq.cli.main(argv)
+    loaded[argv[0]] = [code, "latq.qseries" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_subcommands_without_theta_do_not_load_qseries():
+    # one child runs them in turn, so the first to load qseries is named
+    argvs = [
+        ["table1"],
+        ["orbits", "--t", "6", "--d", "3", "--f", "3"],
+        ["index", "--t", "6", "--d", "5", "--f", "1"],
+        ["siegel", "--form", "A5", "--t", "6", "--report"],
+        ["repcount", "--lattice", "D4", "--norm", "4"],
+        ["e7-search", "--d", "12"],
+        ["verdict", "--d", "12"],
+    ]
+    got = _cold(_RUN_CLI_SEQUENCE, json.dumps(argvs))
+    assert got == {argv[0]: [0, False] for argv in argvs}
+
+
+def test_density_route_does_not_load_numpy_ma():
+    # numpy.ma comes in with np.unique; the density code counts classes by bincount
+    code = """
+import json, sys
+from latq import siegel as sg
+sg.siegel_r("A1D4", 12)
+sg.oracle_alpha("A5", 2, 12)
+sg.oracle_alpha("A5", 3, 18)
+sg.local_density_oracle(3, 8, sg.FORMS["S5"].s_matrix, 7)
+print(json.dumps(["numpy" in sys.modules, "numpy.ma" in sys.modules]))
+"""
+    assert _cold(code) == [True, False]

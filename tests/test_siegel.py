@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import math
 import random
 from fractions import Fraction
@@ -6,7 +9,7 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latq import lattices as lt
@@ -181,7 +184,82 @@ def test_numeric_route_does_not_factor(monkeypatch):
     expected = values()
     monkeypatch.setattr(sg, "_factor", refuse)
     sg._primes_upto.cache_clear()
+    sg._large_prime_index.cache_clear()
     assert values() == expected
+
+
+_ODD_PRIMES = sg._primes_upto(20000)[1:]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(-(10**6), 10**6), st.integers(-(2**100), 2**100)))
+@example(-4 * 19997)
+@example(3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
+@example(2**63 + 1)
+@example(-(2**64) - 3)
+@example(7**40)
+def test_legendre_is_kronecker_on_every_prime(delta):
+    residues = (delta % _ODD_PRIMES.astype(object)).astype(np.int64)
+    assert sg._legendre(residues, _ODD_PRIMES).tolist() == [sg.kronecker(delta, p) for p in _ODD_PRIMES.tolist()]
+
+
+def test_legendre_needs_p_squared_in_int64():
+    # the largest prime with p^2 < 2^63 still works; one past it is refused
+    p = isqrt(2**63 - 1)
+    while not _is_prime(p):
+        p -= 1
+    residues = np.array([1, 2, 3, p - 1], dtype=np.int64)
+    got = sg._legendre(residues, np.full(4, p, dtype=np.int64)).tolist()
+    assert got == [sg.kronecker(int(r), p) for r in residues.tolist()]
+    q = p + 2
+    while not _is_prime(q):
+        q += 2
+    with pytest.raises(ValueError, match="2\\^63"):
+        sg._legendre(np.array([1], dtype=np.int64), np.array([q], dtype=np.int64))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.integers(-(10**6), 10**6).filter(lambda d: d != 0 and d % 4 in (0, 1)), st.integers(501, 5000))
+def test_b_table_matches_b_n_on_longer_tables(delta, terms):
+    table = sg._b_table(delta, terms).tolist()
+    assert table == [sg.b_n(delta, n) for n in range(terms + 1)]
+
+
+def test_b_table_beyond_int64():
+    delta = 2**64 + 1
+    table = sg._b_table(delta, 3000).tolist()
+    assert table == [sg.b_n(delta, n) for n in range(3001)]
+
+
+@pytest.mark.parametrize("delta, terms", [(1, 1), (-3, 2), (5, 97), (-24, 1000), (420, 20000), (-(2**64) - 3, 5000)])
+def test_partial_sum_adds_left_to_right(delta, terms):
+    partial = 0.0
+    for n, bn in enumerate(sg._b_table(delta, terms).tolist()):
+        if bn:
+            partial += bn / n**2
+    lo, _ = sg.zagier_L_numeric(2, delta, terms=terms)
+    assert lo == sg.ZETA4 / sg.ZETA2 * partial
+
+
+# sha256 of the `siegel --report` envelopes for t = 1..120, concatenated,
+# as the loop-summed numeric route printed them
+REPORT_SHA256 = {
+    "A1D4": "e1f6ac2a07b6d0afa488822195c16da5480cb3dc53d692add6317238bf065bfe",
+    "A5": "8d930f8841cdf37e5c24972ede4338425246ccb260a80978b7b083ccb6e14bf2",
+    "S5": "57076ce860b41e12fcff342063364f0ac3ea482baff1b3a0f76477c9faa4e393",
+}
+
+
+@pytest.mark.parametrize("form", sorted(REPORT_SHA256))
+def test_report_envelopes_are_pinned(form):
+    from latq import cli
+
+    parser, text = cli.build_parser(), io.StringIO()
+    with contextlib.redirect_stdout(text):
+        for t in range(1, 121):
+            args = parser.parse_args(["siegel", "--form", form, "--t", str(t), "--report"])
+            assert args.func(args) == 0
+    assert hashlib.sha256(text.getvalue().encode()).hexdigest() == REPORT_SHA256[form]
 
 
 def test_zagier_L_interval_vs_functional_equation():
@@ -441,6 +519,14 @@ def test_class_convolution_matches_full_convolution(case):
     labels, _, sizes = sg._square_classes(p, a)
     assert [counts[c] for c in labels.tolist()] == full
     assert len(sizes) == (2 * a + 1 if p > 2 else max(4 * a - 4, 2))
+
+
+@pytest.mark.parametrize("p, a", [(2, 1), (2, 2), (2, 7), (2, 12), (3, 1), (3, 8), (5, 4), (7, 3), (13, 2)])
+def test_square_classes_list_smallest_members_and_sizes(p, a):
+    labels, reps, sizes = sg._square_classes(p, a)
+    labels = labels.tolist()
+    assert reps == tuple(labels.index(k) for k in range(len(sizes)))
+    assert sizes == tuple(labels.count(k) for k in range(len(sizes)))
 
 
 def test_class_convolution_refuses_bad_histograms(monkeypatch):
