@@ -849,34 +849,70 @@ def reflection_orbits(L: GramLattice, objects, generators=None):
     """Partition sublattice descriptors into orbits of the reflection group.
 
     ``objects``: iterable of root collections (each root a coordinate tuple),
-    all of the same size.  ``generators``: reflection vectors to close under;
-    defaults to the basis vectors when the basis consists of roots (then they
-    generate the full Weyl group), otherwise all roots of L.
+    all of the same size; an empty iterable has no orbits.  ``generators``:
+    reflection vectors to close under; defaults to the basis vectors when
+    the basis consists of roots (then they generate the full Weyl group),
+    otherwise all roots of L.
 
     Returns (orbit_count, orbit_sizes, representatives); representatives are
     the lexicographically smallest canonical object of each orbit and
     orbit_sizes is sorted descending, ties in the order of each orbit's
     first object.
 
-    The closure runs on arrays: the distinct sign-normalized roots get
-    indices in lexicographic order, an object becomes the sorted tuple of
-    its root indices packed into one int64 key, each generator permutes the
-    roots once and so the object keys, and labels fall to the smallest
-    object index of each orbit by min-label propagation.
+    Two steps: ``_canonical_members`` gives the distinct sign-normalized
+    roots, in lexicographic order, and each object as the ascending tuple of
+    its root indices; ``_orbit_partition`` closes those index tuples under
+    the generators.  ``weyl.orbit_summary`` enumerates index tuples directly
+    and hands them to the same closure.
     """
+    root_rows, members = _canonical_members(L, objects)
+    count, sizes, reps = _orbit_partition(L, root_rows, members, generators)
+    rows = [tuple(r) for r in root_rows.tolist()]
+    return count, sizes, [tuple(rows[j] for j in members[i].tolist()) for i in reps]
+
+
+def _canonical_members(L: GramLattice, objects):
+    """(root_rows, members) for a collection of coordinate objects: the
+    distinct sign-normalized roots as an (m, n) int64 array in lexicographic
+    order, and an (N, k) array whose row i holds the indices of object i's
+    roots in ascending order (its canonical form)."""
     import numpy as np
 
     arr = np.array(list(objects), dtype=np.int64)  # (N, k, n)
+    if arr.shape == (0,):
+        return np.zeros((0, L.rank), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
     if arr.ndim != 3 or arr.shape[2] != L.rank:
         raise ValueError("objects must be equal-size collections of coordinate vectors")
     count, size = arr.shape[:2]
     flat = _sign_normalize_rows(arr.reshape(-1, L.rank))
     _, first, root_of = np.unique(_pack_rows(flat), return_index=True, return_inverse=True)
-    root_rows = flat[first]  # lexicographic order
-    members = np.sort(root_of.reshape(count, size), axis=1)  # canonical objects
-    keys = _pack_rows(members)
+    return flat[first], np.sort(root_of.reshape(count, size), axis=1)
+
+
+def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
+    """Orbits of the index objects ``members`` (rows of ascending indices
+    into the lexicographically ordered roots ``root_rows``) under the
+    reflections in ``generators`` (default as in ``reflection_orbits``).
+
+    Returns (orbit_count, orbit_sizes, representatives) with each
+    representative given as a row index of ``members``.  Each object is
+    packed once into an int64 key in base len(root_rows), which orders
+    objects like their root tuples; each generator permutes the roots, so
+    sorting the moved keys and matching them to the sorted keys gives the
+    generator's permutation of the objects, or shows that the set is not
+    closed.  Labels then fall to the smallest object index of each orbit by
+    min-label propagation.
+    """
+    import numpy as np
+
+    count = len(members)
+    if not count:
+        return 0, [], []
+    base = len(root_rows)
+    keys = _pack_rows(members, base)
     order = np.argsort(keys, kind="stable")
-    if np.any(keys[order][1:] == keys[order][:-1]):
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]):
         raise ValueError("objects are not distinct after canonicalization")
     if generators is None:
         if all(L.gram[i][i] == 2 for i in range(L.rank)):
@@ -897,8 +933,13 @@ def reflection_orbits(L: GramLattice, objects, generators=None):
         images = _sign_normalize_rows(root_rows - (coeff // rr)[:, None] * rv)
         root_keys, image_keys = _pack_rows(np.stack([root_rows, images]))
         to = _lookup(root_keys, image_keys)
-        obj_keys, moved_keys = _pack_rows(np.stack([members, np.sort(to[members], axis=1)]))
-        moves.append(order[_lookup(obj_keys[order], moved_keys)])
+        moved = _pack_rows(np.sort(to[members], axis=1), base)
+        by_moved = np.argsort(moved)
+        if not np.array_equal(moved[by_moved], sorted_keys):
+            raise ValueError("object set is not closed under the reflection group")
+        move = np.empty(count, dtype=np.intp)
+        move[by_moved] = order
+        moves.append(move)
     # each move is an involution, so a label that no move lowers is the
     # smallest object index of its orbit; labels[labels] jumps along chains
     labels = np.arange(count)
@@ -916,8 +957,7 @@ def reflection_orbits(L: GramLattice, objects, generators=None):
     smallest = np.full(len(firsts), count)
     np.minimum.at(smallest, orbit_of, rank_of)
     by_size = np.lexsort((firsts, -sizes))
-    reps = [tuple(tuple(int(x) for x in root_rows[j]) for j in members[order[smallest[o]]]) for o in by_size]
-    return len(firsts), [int(sizes[o]) for o in by_size], reps
+    return len(firsts), [int(sizes[o]) for o in by_size], [int(order[smallest[o]]) for o in by_size]
 
 
 def _sign_normalize_rows(rows):
@@ -943,15 +983,18 @@ def _lookup(sorted_keys, keys):
     return at
 
 
-def _pack_rows(arr):
+def _pack_rows(arr, base=None):
     """Pack the last axis of an integer array into int64 keys that order the
     rows lexicographically: row digits are offset by the array's smallest
-    entry, in the base its range needs.  Raises ValueError when the keys
-    would not fit in int64."""
+    entry, in the base its range needs, unless ``base`` is given, when the
+    entries must already be digits in range(base).  Raises ValueError when
+    the keys would not fit in int64."""
     import numpy as np
 
-    lo, hi = int(arr.min()), int(arr.max())
-    base = hi - lo + 1
+    lo = 0
+    if base is None:
+        lo, hi = int(arr.min()), int(arr.max())
+        base = hi - lo + 1
     if base ** arr.shape[-1] > _INT64_MAX:
         raise ValueError("coordinates too large to pack")
     out = np.zeros(arr.shape[:-1], dtype=np.int64)

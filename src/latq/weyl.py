@@ -5,13 +5,24 @@ Sublattice descriptors are canonical collections of roots in the basis
 coordinates of the ambient lattice: an A1+A1 is an orthogonal pair of
 sign-normalized roots, an A2 is the triple of positive roots it contains,
 a 4A1 is a quadruple of pairwise orthogonal sign-normalized roots.
+
+Configurations are enumerated on root indices.  The positive roots and
+their Gram matrix are built once per lattice; orthogonal pairs and
+quadruples are read off the zero pattern of that matrix, growing tuples one
+root at a time through boolean rows, and A2 triples from its entries +/-1
+with the third root found by a lookup of sign-normalized rows.  Each
+configuration is an ascending tuple of indices into the lexicographically
+ordered positive roots, which is its canonical form.  ``orbit_summary``
+hands those index arrays straight to the closure core of
+``lattices.reflection_orbits``; the public enumerators turn the same arrays
+into coordinate tuples.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattices import GramLattice, _sign_normalize, canonical_object, inner, reflection_orbits, roots
+from .lattices import _INT64_MAX, GramLattice, _orbit_partition, _pack_rows, _sign_normalize, _sign_normalize_rows, roots
 
 __all__ = [
     "positive_roots",
@@ -36,77 +47,89 @@ def positive_roots(L: GramLattice):
 
 def a1a1_sublattices(L: GramLattice):
     """All A1+A1 sublattices: unordered orthogonal pairs of root lines."""
-    pos = positive_roots(L)
-    out = []
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            if inner(L, pos[i], pos[j]) == 0:
-                out.append(canonical_object((pos[i], pos[j])))
-    return out
+    return _as_tuples(*_configurations(L, "A1+A1"))
 
 
 def a2_sublattices(L: GramLattice):
     """All A2 sublattices, each given by its three positive roots."""
-    pos = positive_roots(L)
-    seen = set()
-    for i in range(len(pos)):
-        for j in range(len(pos)):
-            if i == j:
-                continue
-            # a pair of roots spanning an A2 meets at inner product -1 after
-            # flipping signs; normalize via |(r,s)| = 1
-            pr = inner(L, pos[i], pos[j])
-            if pr not in (1, -1):
-                continue
-            a = pos[i]
-            b = pos[j] if pr == -1 else tuple(-x for x in pos[j])
-            third = tuple(x + y for x, y in zip(a, b))
-            seen.add(canonical_object((a, b, third)))
-    return sorted(seen)
+    return _as_tuples(*_configurations(L, "A2"))
 
 
 def four_a1_sublattices(L: GramLattice):
     """All 4A1 sublattices: quadruples of pairwise orthogonal root lines."""
-    pos = positive_roots(L)
-    n = len(pos)
-    adj = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and inner(L, pos[i], pos[j]) == 0:
-                adj[i] |= 1 << j
-    above = [((1 << n) - 1) << (i + 1) for i in range(n)]
-    out = []
-    for i in range(n):
-        mi = adj[i] & above[i]
-        for j in _bits(mi):
-            mj = mi & adj[j] & above[j]
-            for k in _bits(mj):
-                mk = mj & adj[k] & above[k]
-                for l in _bits(mk):
-                    out.append(canonical_object((pos[i], pos[j], pos[k], pos[l])))
-    return out
+    return _as_tuples(*_configurations(L, "4A1"))
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _as_tuples(rows, members):
+    rows = [tuple(r) for r in rows.tolist()]
+    return [tuple(rows[j] for j in obj) for obj in members.tolist()]
+
+
+def _configurations(L: GramLattice, kind: str):
+    """(rows, members): the positive roots as an (m, n) int64 array in
+    lexicographic order, and one row of ascending indices into it per
+    configuration of the given kind.
+
+    Configurations come in the order of the positive roots (``positive_roots``)
+    they are built from: pairs and quadruples i < j < k < l lexicographically,
+    A2 triples sorted by their canonical form.
+    """
+    import numpy as np
+
+    pos = np.array(positive_roots(L), dtype=np.int64).reshape(-1, L.rank)
+    # roots of a positive-definite lattice meet in -2..2 (Cauchy-Schwarz), but
+    # the partial sums of P G P^T leave int64 when the entries are huge; then
+    # the product runs on Python integers
+    big = max(abs(x) for row in L.gram for x in row) * int(np.abs(pos).max(initial=0)) ** 2
+    dtype = np.int64 if L.rank * L.rank * big <= _INT64_MAX else object
+    gram = (pos.astype(dtype) @ np.array(L.gram, dtype=dtype) @ pos.T.astype(dtype)).astype(np.int64)
+    by_lex = np.lexsort(pos.T[::-1])
+    lex = np.empty(len(pos), dtype=np.int64)
+    lex[by_lex] = np.arange(len(pos))
+    rows = pos[by_lex]
+    if kind == "A1+A1":
+        idx = _orthogonal_tuples(gram, 2)
+    elif kind == "4A1":
+        idx = _orthogonal_tuples(gram, 4)
+    elif kind == "A2":
+        # a pair at inner product +/-1 spans an A2; its third positive root
+        # is the sign-normalized a - (a, b) b
+        i, j = np.nonzero(np.triu(np.abs(gram) == 1, 1))
+        if not len(i):
+            return rows, np.zeros((0, 3), dtype=np.int64)
+        third = _sign_normalize_rows(pos[i] - gram[i, j][:, None] * pos[j])
+        row_keys, third_keys = np.split(_pack_rows(np.concatenate([rows, third])), [len(rows)])
+        k = np.searchsorted(row_keys, third_keys)  # the third vector is a root
+        return rows, np.unique(np.sort(np.column_stack([lex[i], lex[j], k]), axis=1), axis=0)
+    else:
+        raise ValueError(f"unknown sublattice kind {kind!r}")
+    return rows, np.sort(lex[idx], axis=1)
+
+
+def _orthogonal_tuples(gram, size: int):
+    """Index tuples i_1 < ... < i_size of pairwise orthogonal roots, in
+    lexicographic order: each tuple is extended by every later root that the
+    boolean row of its last root and the tuple's running mask both allow."""
+    import numpy as np
+
+    orth = np.triu(gram == 0, 1)
+    idx = np.arange(len(gram))[:, None]
+    mask = orth
+    while True:
+        parent, nxt = np.nonzero(mask)
+        idx = np.column_stack([idx[parent], nxt])
+        if idx.shape[1] == size:
+            return idx
+        mask = mask[parent] & orth[nxt]
 
 
 @lru_cache(maxsize=8)
 def orbit_summary(L: GramLattice, kind: str):
     """(object count, orbit count, orbit sizes) for a sublattice type.
 
-    kind is one of 'A1+A1', 'A2', '4A1'.
+    kind is one of 'A1+A1', 'A2', '4A1'.  A lattice with no configuration of
+    the kind gives (0, 0, ()).
     """
-    if kind == "A1+A1":
-        objs = a1a1_sublattices(L)
-    elif kind == "A2":
-        objs = a2_sublattices(L)
-    elif kind == "4A1":
-        objs = four_a1_sublattices(L)
-    else:
-        raise ValueError(f"unknown sublattice kind {kind!r}")
-    count, sizes, _ = reflection_orbits(L, objs)
-    return len(objs), count, tuple(sizes)
+    rows, members = _configurations(L, kind)
+    count, sizes, _ = _orbit_partition(L, rows, members)
+    return len(members), count, tuple(sizes)

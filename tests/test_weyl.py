@@ -1,6 +1,15 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from latq import lattices as lt, weyl
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_object_counts():
@@ -96,6 +105,9 @@ def test_reflection_orbits_refusals():
         lt.reflection_orbits(a2, [((1, 0),)])
     with pytest.raises(ValueError, match="not closed"):
         lt.reflection_orbits(a2, [((1, 0),), ((1, 1),)])
+    # the roots are closed, the objects are not: s_1 takes {a1, a2} to {a1, a1 + a2}
+    with pytest.raises(ValueError, match="not closed"):
+        lt.reflection_orbits(a2, [((1, 0), (0, 1)), ((1, 1), (1, 1))])
     # 2 (x, r) / (r, r) = -1/2 for x = (0, 1), r = (2, 0)
     with pytest.raises(ValueError, match="not integral"):
         lt.reflection_orbits(a2, [((1, 0),), ((0, 1),), ((1, 1),)], generators=[(2, 0)])
@@ -105,3 +117,182 @@ def test_reflection_orbits_refusals():
         lt.reflection_orbits(a2, [((0, 0),)])
     with pytest.raises(ValueError):
         lt.reflection_orbits(a2, [((1, 0, 0),)])
+
+
+# ---------------------------------------------------------------------------
+# outputs pinned before the enumerators and the closure moved to root indices:
+# sha256 of repr(...), taken from the per-pair loop enumerators below and the
+# coordinate-tuple closure they fed
+
+
+def _sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+ENUMERATOR_SHA256 = {
+    ("E7", "a1a1_sublattices"): "7dfb3a5ea15b53e6c4550865a75f626e11c3b4ccc69e2bd20bb7f51b7f847064",
+    ("E7", "a2_sublattices"): "b291850616986397b491a26d4099b4a42415d48f58ad069428f16885417234d8",
+    ("E7", "four_a1_sublattices"): "7b056bd37581f405f577e93dcca27f6be40236891115e0056e4f8d47c571d60f",
+    ("E8", "a1a1_sublattices"): "8a8ae70564eaa8c781e4881a1ba0c5fdc18afcc0eba30bc062870d6586eff824",
+    ("E8", "a2_sublattices"): "ede22a6a35617340f68cfa954070b069ab451638c134b20d9b07df87f28ce8e2",
+    ("E8", "four_a1_sublattices"): "a32f2a8fb4d547591517829a2265d76d4137ace83f7de19564ea63e1fbff69d6",
+    ("D6", "a1a1_sublattices"): "d68e09519f2d6619d76f3a3911227fa75dcbe7ace1356285b113391dbcd0b3db",
+    ("D6", "a2_sublattices"): "785f801a167c860fd3de1ae7f12a8e9225b48148137844b06b8e173b78462c29",
+    ("D6", "four_a1_sublattices"): "6a94358999555ae945dafdc24f9ee4cbf87125a0242ecd2dc06c82840b981649",
+}
+
+SUMMARY_SHA256 = {
+    ("A5", "A1+A1"): "55927d8e9a8f0a06bc67685416ea73d64c77d425d5fca384b0a158bd24bcee71",
+    ("A5", "A2"): "0f1ca69b838fd31302debc872ac111598d5d62c0b016162735bb89192e60d548",
+    ("D4", "A1+A1"): "bd0d98ad532c3a92b744e008a9b1bfef19e202e2bdf6e465af4525b04650f460",
+    ("D4", "A2"): "8c19ac4517faed54b0a0817422065861f292b85bb3f93373e9a12e12bd388f6a",
+    ("D4", "4A1"): "921373b3f7546687054c4f394ac3f419d8e6e1037583f845d0ec3d4d0fdfa287",
+    ("D6", "A1+A1"): "05c7cad781d75c7beb23309b136cf57aff2508fd151e1c8632cbdd04011fb2b1",
+    ("D6", "A2"): "6906b6647dd46d1680c623a6000f1972b807dbbd3243ad76c4195fcdaa7ed824",
+    ("D6", "4A1"): "8b81e41b181a60ffe27adf2a024116310446b9be9e2461f07a507f73ea572532",
+    ("E7", "A1+A1"): "71c4ab2cdc3da1aeb5dbd25cfac4b7f6e68ca9704e4556b332826a4a19d586b0",
+    ("E7", "A2"): "e8360fb6a08167f96d16a67c0534ae565f38d087b45d31ad62863e0c885d3c22",
+    ("E7", "4A1"): "4cbdff040b856e3d4c3e77f1a2beaaf9e3d33f166d066570e406dc11f88e0a41",
+    ("E8", "A1+A1"): "b45a9448a2951681a5193977eb64638529300f2817e6c89e28dfd3423171b8fd",
+    ("E8", "A2"): "0cf5f35099dc908d15b706322bcd4b89b991867ee8d0dd8d2d3a94ed287a1eae",
+    ("E8", "4A1"): "23a6fd80ce8cf69964cdf440a2259c1c13d5036f9b741e1b6499293c171aec52",
+    ("A1+D4", "A1+A1"): "1ed92e42bc116b6b8e3dba41caec2d99c7047c2770f7935a2900ac1b218b7272",
+    ("A1+D4", "A2"): "8c19ac4517faed54b0a0817422065861f292b85bb3f93373e9a12e12bd388f6a",
+    ("A1+D4", "4A1"): "21cf5136c63ee4a7addcbb24b25ea179edd6c2bbc776febe617e9078aaca2012",
+}
+
+FOUR_A1_ORBITS_SHA256 = {
+    "E7": "7ec5cd65e4076fe07ead8f5c032bd9a986fd25d2a86236ac072e80a93ff8ddce",
+    "E8": "eb5f4ce1eba10212ef521395e7ff3b80912ac08d8b98a4b99e13191249be6f01",
+}
+
+
+@pytest.mark.parametrize(("name", "fn"), sorted(ENUMERATOR_SHA256))
+def test_enumerators_match_pins(name, fn):
+    assert _sha(getattr(weyl, fn)(lt.standard_lattice(name))) == ENUMERATOR_SHA256[name, fn]
+
+
+@pytest.mark.parametrize(("name", "kind"), sorted(SUMMARY_SHA256))
+def test_orbit_summary_matches_pins(name, kind):
+    assert _sha(weyl.orbit_summary(lt.standard_lattice(name), kind)) == SUMMARY_SHA256[name, kind]
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_four_a1_reflection_orbits_match_pins(name):
+    L = lt.standard_lattice(name)
+    assert _sha(lt.reflection_orbits(L, weyl.four_a1_sublattices(L))) == FOUR_A1_ORBITS_SHA256[name]
+
+
+# the per-pair loop enumerators on lt.inner and canonical_object, kept as the
+# brute-force reference for the index enumeration
+
+
+def _loop_a1a1(L):
+    pos = weyl.positive_roots(L)
+    return [
+        lt.canonical_object((pos[i], pos[j]))
+        for i in range(len(pos))
+        for j in range(i + 1, len(pos))
+        if lt.inner(L, pos[i], pos[j]) == 0
+    ]
+
+
+def _loop_a2(L):
+    pos = weyl.positive_roots(L)
+    seen = set()
+    for a in pos:
+        for b in pos:
+            pr = lt.inner(L, a, b)
+            if a != b and pr in (1, -1):
+                b = b if pr == -1 else tuple(-x for x in b)
+                seen.add(lt.canonical_object((a, b, tuple(x + y for x, y in zip(a, b)))))
+    return sorted(seen)
+
+
+def _loop_four_a1(L):
+    pos = weyl.positive_roots(L)
+    n = len(pos)
+    orth = [[lt.inner(L, pos[i], pos[j]) == 0 for j in range(n)] for i in range(n)]
+    return [
+        lt.canonical_object((pos[i], pos[j], pos[k], pos[l]))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if orth[i][j]
+        for k in range(j + 1, n)
+        if orth[i][k] and orth[j][k]
+        for l in range(k + 1, n)
+        if orth[i][l] and orth[j][l] and orth[k][l]
+    ]
+
+
+@pytest.mark.parametrize("name", ["A2", "A5", "D4", "D6", "E7"])
+def test_index_enumerators_match_loops(name):
+    L = lt.standard_lattice(name)
+    assert weyl.a1a1_sublattices(L) == _loop_a1a1(L)
+    assert weyl.a2_sublattices(L) == _loop_a2(L)
+    assert weyl.four_a1_sublattices(L) == _loop_four_a1(L)
+
+
+def test_empty_configuration_sets():
+    assert weyl.orbit_summary(lt.A(5), "4A1") == (0, 0, ())
+    for kind in ("A1+A1", "A2", "4A1"):
+        assert weyl.orbit_summary(lt.A(1), kind) == (0, 0, ())
+    # a lattice without roots
+    assert weyl.orbit_summary(lt.rescale(lt.E8(), 2), "A2") == (0, 0, ())
+    assert weyl.four_a1_sublattices(lt.A(5)) == []
+    assert lt.reflection_orbits(lt.A(2), []) == (0, [], [])
+    assert lt.reflection_orbits(lt.A(2), iter(())) == (0, [], [])
+
+
+def test_malformed_objects_are_still_refused():
+    a2 = lt.A(2)
+    with pytest.raises(ValueError):  # ragged: objects of different sizes
+        lt.reflection_orbits(a2, [((1, 0),), ((1, 0), (0, 1))])
+    with pytest.raises(ValueError):  # ragged: roots of different lengths
+        lt.reflection_orbits(a2, [((1, 0),), ((1, 0, 0),)])
+    with pytest.raises(ValueError, match="equal-size"):  # wrong rank
+        lt.reflection_orbits(a2, [((1, 0, 0),), ((0, 1, 0),)])
+    with pytest.raises(ValueError, match="equal-size"):  # vectors, not collections
+        lt.reflection_orbits(a2, [(1, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("kind", ["A1+A1", "A2", "4A1"])
+def test_orbit_summary_does_no_per_object_python_work(monkeypatch, kind):
+    # the configurations are enumerated and closed on root-index arrays; a
+    # per-pair inner product or a per-object canonical tuple must not return
+    def refuse(*args):
+        raise AssertionError("orbit_summary called a per-object helper")
+
+    e8 = lt.E8()
+    expected = weyl.orbit_summary(e8, kind)
+    weyl.orbit_summary.cache_clear()
+    for name in ("inner", "canonical_object"):
+        monkeypatch.setattr(lt, name, refuse)
+        monkeypatch.setattr(weyl, name, refuse, raising=False)
+    assert weyl.orbit_summary(e8, kind) == expected
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_four_a1_in_e8_memory():
+    # the coordinate-tuple route rose by about 92 MB here, the index route by
+    # about 35 MB.  The child reads its own high-water mark (VmHWM, the
+    # ru_maxrss of its address space): ru_maxrss itself starts at the peak of
+    # the process that spawned it, which in a test run already exceeds the rise
+    code = """
+import json
+from latq import lattices as lt, weyl
+
+def high_water_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+e8 = lt.E8()
+lt.roots(e8)
+before = high_water_kb()
+weyl.orbit_summary(e8, "4A1")
+print(json.dumps((high_water_kb() - before) / 1024))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    rise_mb = json.loads(proc.stdout.splitlines()[-1])
+    assert rise_mb < 50, rise_mb
