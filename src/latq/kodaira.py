@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .lattices import E7, E7_SIMPLE_DOUBLED, counts_e7, enumerate_norm
+from .lattices import E7, E7_SIMPLE_DOUBLED, _isqrt, counts_e7
 
 __all__ = [
     "WITNESS_TABLE",
@@ -115,9 +115,21 @@ def doubled_to_lambda(z):
 @lru_cache(maxsize=1)
 def _e7_root_forms():
     """G r for each of the 126 roots r of E7 (Gram matrix G), so that the
-    inner product of lam with r is the dot product of lam and G r."""
+    inner product of lam with r is the dot product of lam and G r.
+
+    The roots are the closure of the simple roots e_i under the simple
+    reflections r -> r - (r, e_i) e_i, where (r, e_i) = (G r)_i: pure Python,
+    so that `table1` loads no numpy, and independent of the doubled model
+    that the shell search uses."""
     g = E7().gram
-    return tuple(tuple(sum(gi[j] * r[j] for j in range(7)) for gi in g) for r in enumerate_norm(E7(), 2))
+    forms = {}
+    todo = [tuple(int(i == j) for j in range(7)) for i in range(7)]
+    while todo:
+        r = todo.pop()
+        if r not in forms:
+            forms[r] = gr = tuple(sum(gi[j] * r[j] for j in range(7)) for gi in g)
+            todo.extend(r[:i] + (r[i] - gr[i],) + r[i + 1 :] for i in range(7))
+    return tuple(forms[r] for r in sorted(forms))
 
 
 def orthogonal_root_count(lam) -> int:
@@ -131,17 +143,6 @@ def orthogonal_root_count(lam) -> int:
 
 # ---------------------------------------------------------------------------
 # exhaustive shell search in the sum-zero model
-
-
-def _isqrt(x):
-    """Elementwise isqrt of a nonnegative int64 array below 2^52, where the
-    float square root is off by at most one."""
-    import numpy as np
-
-    r = np.sqrt(x).astype(np.int64)
-    r -= r * r > x
-    r += (r + 1) * (r + 1) <= x
-    return r
 
 
 def _grow(prefix, parity, lo, s, q):

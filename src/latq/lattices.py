@@ -3,9 +3,10 @@
 Lattices are given by integer Gram matrices in a fixed basis.  Everything in
 this module works over exact integers / rationals: determinants use Bareiss
 elimination, short vectors come from one integer Fincke-Pohst walk over an
-LDL^T decomposition whose denominators are cleared once, kernels and
-discriminant groups use integer normal forms.  No floating point enters any
-decision path.
+LDL^T decomposition whose denominators are cleared once (level by level on
+arrays), kernels and discriminant groups use integer normal forms.  No
+floating point enters any decision path: the walk's float square roots are
+corrected to exact integer ones.
 
 Vector counts of the standard root lattices come from Z^k coordinate models
 (one dynamic-programming kernel, one exact convolution).  A model is chosen
@@ -377,47 +378,72 @@ def divisor(L: GramLattice, v) -> int:
 # short vectors (integer Fincke-Pohst)
 
 
-def _short_vectors(L: GramLattice, bound: int):
-    """All lattice vectors of norm <= bound (positive definite L only), in one
-    walk: out maps each norm k that occurs to the sorted list of coordinate
-    tuples of norm k.  Memory follows the number of vectors, not the bound.
+def _isqrt(x):
+    """Elementwise isqrt of a nonnegative integer array: math.isqrt on an
+    object array, the floor of the float square root on int64 entries, which
+    must be below 2^52.  There x is an exact float, the root of a square is
+    exact, and the root of any other x < (k + 1)^2 lies at least
+    1 / (2k + 2) >= 2^-27 below k + 1, more than half a float spacing, so it
+    cannot round up to k + 1."""
+    import numpy as np
+
+    if x.dtype == object:
+        return np.frompyfunc(isqrt, 1, 1)(x)
+    return np.sqrt(x).astype(np.int64)
+
+
+def _short_vectors(L: GramLattice, bound: int, coords: bool = True):
+    """(rows, norms) for every lattice vector of norm <= bound (positive
+    definite L only): its coordinates as a row of an (N, rank) array, in
+    lexicographic order of (x_{n-1}, ..., x_0), and its norm.  With coords
+    false, rows is None and the last level builds no coordinates.
 
     With s * x^T G x = sum_i w_i y_i^2 and y_i = m_i x_i + t_i, where
     t_i = sum_{j>i} c_ij x_j, the coordinates are fixed from the last to the
-    first.  rem is what is left of s * bound, so |y_i| <= isqrt(rem // w_i)
-    bounds x_i by two floor divisions, and every x_0 in range closes a vector.
+    first, one array step per level for all partial vectors at once.  rem is
+    what each has left of s * bound, so |y_i| <= isqrt(rem // w_i) bounds x_i
+    by two floor divisions, and each partial vector is repeated once per x_i
+    in range.  The steps run on int64 when the LDL^T data and bounds on
+    every |x_i| and |t_i| fit there and s * bound is below the 2^52 of the
+    float isqrt, and otherwise on Python integers in object arrays.
     """
+    import numpy as np
+
     if bound < 0:
         raise ValueError("norm must be nonnegative")
     s, w, m, c = _cholesky(L.gram)
     top = s * bound
-    out: dict = {}
-    coords = [0] * L.rank
-
-    def descend(i, rem):
-        t = sum(cij * x for cij, x in zip(c[i], coords[i + 1 :]))
-        r = isqrt(rem // w[i])
-        for x in range(-((r + t) // m[i]), (r - t) // m[i] + 1):
-            coords[i] = x
-            left = rem - w[i] * (m[i] * x + t) ** 2
-            if i:
-                descend(i - 1, left)
-            else:
-                out.setdefault((top - left) // s, []).append(tuple(coords))
-
-    descend(L.rank - 1, top)
-    for vecs in out.values():
-        vecs.sort()
-    return out
+    xmax, big = [], max([top, *w, *m, *(abs(x) for row in c for x in row)])
+    for i in reversed(range(L.rank)):
+        reach = isqrt(top // w[i]) + sum(abs(cij) * x for cij, x in zip(c[i], xmax))
+        xmax.insert(0, reach // m[i])
+        big = max(big, 2 * reach)
+    dtype = np.int64 if top < 2**52 and big <= _INT64_MAX else object
+    rows, rem = np.zeros((1, 0), dtype=dtype), np.array([top], dtype=dtype)
+    for i in reversed(range(L.rank)):
+        t = rows @ np.array(c[i], dtype=dtype)
+        r = _isqrt(rem // w[i])
+        lo = -((r + t) // m[i])
+        n = ((r - t) // m[i] - lo + 1).astype(np.int64)
+        # row k of the next level lies in the block of partial vector p,
+        # which starts at row start_p, and takes x_i = lo_p + k - start_p
+        x = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        y = m[i] * x + np.repeat(t, n)
+        rem = np.repeat(rem, n) - w[i] * y * y
+        if i or coords:
+            rows = np.column_stack((x, np.repeat(rows, n, axis=0)))
+    return (rows if coords else None), (top - rem) // s
 
 
 def enumerate_norm(L: GramLattice, n: int):
-    """All lattice vectors of norm exactly n (positive definite L only).
+    """All lattice vectors of norm exactly n (positive definite L only), as
+    a lexicographically sorted list of coordinate tuples; n = 0 gives the
+    zero vector alone."""
+    import numpy as np
 
-    Returns a deterministically ordered list of coordinate tuples, closed
-    under negation; [()] placeholder semantics: n = 0 yields the zero vector.
-    """
-    return _short_vectors(L, n).get(n, [])
+    rows, norms = _short_vectors(L, n)
+    rows = rows[norms == n]
+    return list(map(tuple, rows[np.lexsort(rows.T[::-1])].tolist()))
 
 
 def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
@@ -426,9 +452,10 @@ def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
     ``method='auto'`` uses the exact counting models when the lattice is,
     by its Gram matrix, the standard construction its label names (A_n, D_n,
     E7, even <k> and their direct sums), and Fincke-Pohst otherwise;
-    ``method='fincke-pohst'`` forces the generic enumerator.  Counts are
-    exact Python integers, also past int64.  A lattice that is not
-    positive definite is refused at every n, n = 0 included.
+    ``method='fincke-pohst'`` forces the generic walk, which counts norms
+    without building the vectors.  Counts are exact Python integers, also
+    past int64.  A lattice that is not positive definite is refused at every
+    n, n = 0 included.
     """
     if n < 0:
         raise ValueError("norm must be nonnegative")
@@ -442,7 +469,7 @@ def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
             return counts[n // 2] if n % 2 == 0 else 0
     elif method not in ("fincke-pohst",):
         raise ValueError(f"unknown method {method!r}")
-    return len(enumerate_norm(L, n))
+    return int((_short_vectors(L, n, coords=False)[1] == n).sum())
 
 
 def roots(L: GramLattice):
@@ -456,8 +483,9 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
     This is the coefficient list of the theta series on the integer exponent
     grid, obtained by exhaustive counting: dynamic programming over a Z^k
     coordinate model when the Gram matrix is that of the standard
-    construction the label names, Fincke-Pohst otherwise.  Coefficients are
-    exact Python integers, also past int64.
+    construction the label names, otherwise the Fincke-Pohst walk, whose
+    norms are counted by np.bincount without building the vectors.
+    Coefficients are exact Python integers, also past int64.
     """
     if not L.is_even:
         raise ValueError("theta_counts expects an even lattice")
@@ -465,8 +493,10 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
         c = _model_counts(L, max(prec, 1))
         if c is not None:
             return list(c[:prec])
-    vecs = _short_vectors(L, 2 * max(prec - 1, 0))
-    return [len(vecs.get(2 * m, ())) for m in range(prec)]
+    import numpy as np
+
+    norms = _short_vectors(L, 2 * max(prec - 1, 0), coords=False)[1]
+    return np.bincount(norms.astype(np.int64), minlength=2 * prec)[: 2 * prec : 2].tolist()
 
 
 # -- fast exact counting models for standard lattices -----------------------
@@ -784,19 +814,21 @@ def is_isometric(L1: GramLattice, L2: GramLattice) -> bool:
     if not (L1.is_positive_definite and L2.is_positive_definite):
         raise ValueError("is_isometric expects positive-definite lattices")
     norms = sorted({L1.gram[i][i] for i in range(L1.rank)})
-    short1, cands = _short_vectors(L1, norms[-1]), _short_vectors(L2, norms[-1])
-    if any(len(cands.get(n, ())) != len(short1[n]) for n in norms):
+    found = _short_vectors(L1, norms[-1], coords=False)[1]
+    rows, norms2 = _short_vectors(L2, norms[-1])
+    pools = {n: rows[norms2 == n] for n in norms}
+    if any(len(pools[n]) != (found == n).sum() for n in norms):
         return False
     order = _search_order(L1.gram)
     g1 = [[L1.gram[a][b] for b in order] for a in order]
     rank = L1.rank
     # int64 holds every partial sum of the inner products below unless the
-    # entries are huge; then the same arrays hold Python integers
-    pools = {n: np.array(cands[n], dtype=object) for n in norms}
-    big = max(abs(x) for row in L2.gram for x in row) * max(np.abs(p).max() for p in pools.values()) ** 2
+    # entries are huge; then the same arrays hold Python integers.  Each pool
+    # is searched in lexicographic order.
+    big = max(abs(x) for row in L2.gram for x in row) * max(_max_abs(p) for p in pools.values()) ** 2
     dtype = np.int64 if rank * rank * big <= _INT64_MAX else object
     g2 = np.array(L2.gram, dtype=dtype)
-    pools = {n: p.astype(dtype) for n, p in pools.items()}
+    pools = {n: p[np.lexsort(p.T[::-1])].astype(dtype) for n, p in pools.items()}
     images = {n: pools[n] @ g2 for n in norms}  # row k: G2 w_k
     chosen = np.zeros((rank, rank), dtype=dtype)
 
@@ -919,10 +951,15 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
             generators = [tuple(1 if j == i else 0 for j in range(L.rank)) for i in range(L.rank)]
         else:
             generators = roots(L)
-    gram_np = np.array(L.gram, dtype=np.int64)
+    generators = list(generators)
+    # G r, (x, r) and x - c r stay in int64 unless the entries are huge; then
+    # they run on Python integers, and images too large to pack are refused
+    big = max(abs(x) for row in L.gram for x in row) * max([_max_abs(root_rows), *(abs(int(x)) for r in generators for x in r)]) ** 3
+    dtype = np.int64 if 2 * L.rank**2 * big < _INT64_MAX // 2 else object
+    gram_np = np.array(L.gram, dtype=dtype)
     moves = []  # per generator: index of each object's image
     for r in generators:
-        rv = np.array(r, dtype=np.int64)
+        rv = np.array(r, dtype=dtype)
         gr = gram_np @ rv
         rr = int(rv @ gr)
         if rr == 0:

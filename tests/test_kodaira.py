@@ -30,6 +30,16 @@ def test_orthogonal_root_count_basics():
         ko.orthogonal_root_count((0,) * 7)
 
 
+def test_root_forms_come_from_all_roots():
+    # the reflection closure of the simple roots finds the roots of the
+    # generic walk; G is invertible, so equal forms G r mean equal roots
+    g = E7.gram
+    walk = {tuple(sum(gi[j] * r[j] for j in range(7)) for gi in g) for r in lt.enumerate_norm(E7, 2)}
+    forms = ko._e7_root_forms()
+    assert len(forms) == len(walk) == 126
+    assert set(forms) == walk
+
+
 def test_counts_invariant_under_reflections():
     rng = random.Random(13)
     rts = lt.roots(E7)

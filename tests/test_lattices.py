@@ -1,8 +1,13 @@
 import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,9 @@ from hypothesis import strategies as st
 
 from latq import lattices as lt
 from latq import qseries as qs
+from latq import weyl
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_standard_dets_and_ranks():
@@ -160,15 +168,48 @@ def _positive_definite_grams(draw):
     return lt.GramLattice(tuple(map(tuple, g)))
 
 
+def test_isqrt_is_exact():
+    # squares and their neighbours up to the 2^52 edge of the int64 route,
+    # and Python integers past int64
+    k = np.arange(2**26 - 2000, 2**26, dtype=np.int64)
+    x = np.concatenate([k * k - 1, k * k, k * k + 1, np.arange(10**4)])
+    assert lt._isqrt(x).tolist() == [isqrt(v) for v in x.tolist()]
+    huge = np.array([0, 2**64 - 1, 10**40 + 7], dtype=object)
+    assert lt._isqrt(huge).tolist() == [isqrt(v) for v in huge.tolist()]
+
+
+def _sheared(L, k):
+    """L in the basis e_0, e_j + k e_0 (j >= 1), and the map of coordinates
+    into it: x_0 becomes x_0 - k (x_1 + ... + x_{n-1})."""
+    s = [[int(i == j) + (k if i == 0 < j else 0) for j in range(L.rank)] for i in range(L.rank)]
+    gram = [[sum(s[a][i] * L.gram[a][b] * s[b][j] for a in range(L.rank) for b in range(L.rank)) for j in range(L.rank)] for i in range(L.rank)]
+    return lt.GramLattice(lt._freeze(gram)), lambda x: (x[0] - k * sum(x[1:]),) + x[1:]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_positive_definite_grams())
-def test_short_vectors_match_brute_force(L):
+@given(_positive_definite_grams(), st.integers(2**52, 2**60), st.integers(2**32, 2**70))
+def test_short_vectors_match_brute_force(L, scale, shear):
     brute = _brute_force_by_norm(L, 8)
     for n in range(9):
         assert lt.enumerate_norm(L, n) == brute[n]
+        assert lt.rep_count(L, n, method="fincke-pohst") == len(brute[n])
     if L.is_even:
         for prec in range(6):
             assert lt.theta_counts(L, prec, method="fincke-pohst") == [len(brute[2 * m]) for m in range(prec)]
+    # norms past 2^52 leave the float isqrt: the walk runs on Python integers
+    scaled = lt.GramLattice(tuple(tuple(scale * x for x in row) for row in L.gram))
+    for n in range(9):
+        assert lt.enumerate_norm(scaled, scale * n) == brute[n]
+        assert lt.rep_count(scaled, scale * n, method="fincke-pohst") == len(brute[n])
+    # Gram entries past 2^63, and past 2^63 / 2^40 the walk's own bounds too
+    sheared, move = _sheared(L, shear)
+    for n in range(9):
+        assert lt.enumerate_norm(sheared, n) == sorted(map(move, brute[n]))
+        assert lt.rep_count(sheared, n, method="fincke-pohst") == len(brute[n])
+    if L.is_even:
+        assert lt.theta_counts(sheared, 5, method="fincke-pohst") == [len(brute[2 * m]) for m in range(5)]
+    rows, norms = lt._short_vectors(sheared, 8)
+    assert lt._short_vectors(sheared, 8, coords=False)[1].tolist() == norms.tolist()
 
 
 def test_generic_theta_of_e8_is_the_eisenstein_series():
@@ -446,7 +487,7 @@ def test_is_isometric_false_when_theta_series_differ(data):
     g1, g2 = _congruent(_identity(n), b), _congruent(sts, b)
     L1, L2 = _lattice(g1), _lattice(_congruent(g2, data.draw(_unimodular(n))))
     bound = max(g1[k][k] for k in range(n)) + 2
-    theta1, theta2 = ({k: len(v) for k, v in lt._short_vectors(L, bound).items()} for L in (L1, L2))
+    theta1, theta2 = (sorted(lt._short_vectors(L, bound, coords=False)[1].tolist()) for L in (L1, L2))
     if theta1 != theta2:
         assert not lt.is_isometric(L1, L2)
     if sts == _identity(n):
@@ -509,6 +550,69 @@ def test_is_isometric_with_huge_basis_norms():
     assert lt.enumerate_norm(L, 10**19) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     assert lt.rep_count(L, 10**19 - 1) == 0
     assert lt.is_isometric(L, L)
+
+
+# sha256 over the complements of every root line (its positive root) or every
+# A2 (its first two positive roots) of each ambient lattice, in weyl's order,
+# of enumerate_norm for n <= 6, theta_counts to prec 4 by Fincke-Pohst, and
+# is_isometric with the first complement of the family; taken on the
+# recursive walk that the array walk replaced
+COMPLEMENT_PINS = {
+    ("E7", "root", 63): "05428d9e26aa23d67b6781f590d74dcd368a617b60a42dc5ff78973a1a44b0b8",
+    ("E7", "A2", 336): "7894ef6154fe8f52a9444d59429416fd92beb546c049c26bfb5af6307e657f27",
+    ("E8", "root", 120): "bf5b11ca6bf630b7894078166752487b5ec1e8207499a1e5dcda9cc632f893c5",
+    ("E8", "A2", 1120): "f9fc04cdbca4b4907f35ad74d4f3a2ee4b22090fc4f0ec3e4adac2e0e1097bcf",
+    ("D6", "root", 30): "945fbe57a21f05887184a31d713bcc53a1555c8aac690bed4d1a14f511526378",
+    ("D6", "A2", 80): "7c4e23af868941743ca279b243bf4febe66e762d1855cc76e3ceb4cbf0638f59",
+}
+
+
+def _walk_record(L, target):
+    return repr(([lt.enumerate_norm(L, n) for n in range(7)], lt.theta_counts(L, 4, "fincke-pohst"), lt.is_isometric(L, target))).encode()
+
+
+@pytest.mark.parametrize("name, kind, count", list(COMPLEMENT_PINS), ids=lambda x: str(x))
+def test_complement_walks_are_pinned(name, kind, count):
+    L = {"E7": lt.E7(), "E8": lt.E8(), "D6": lt.D(6)}[name]
+    configs = [(r,) for r in weyl.positive_roots(L)] if kind == "root" else [t[:2] for t in weyl.a2_sublattices(L)]
+    assert len(configs) == count
+    digest = hashlib.sha256()
+    target = None
+    for vecs in configs:
+        C = lt.orthogonal_complement(L, vecs)
+        target = target or C
+        digest.update(_walk_record(C, target))
+    assert digest.hexdigest() == COMPLEMENT_PINS[name, kind, count]
+
+
+def test_e8_walk_is_pinned():
+    e8 = lt.E8()
+    assert hashlib.sha256(_walk_record(e8, e8)).hexdigest() == "35acc3a1e8a2228e22acbf4b91a023dfdb6b316e760af458d4a73681f01f9f4c"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_e8_theta_memory():
+    # the walk counts norms without building vectors: theta of E8 to prec 10
+    # (522 001 vectors) rose the peak by about 63 MB as tuples, 38 MB now
+    code = """
+import json
+from latq import lattices as lt
+
+def high_water_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+e8 = lt.E8()
+lt.theta_counts(e8, 2, "fincke-pohst")
+before = high_water_kb()
+counts = lt.theta_counts(e8, 10, "fincke-pohst")
+print(json.dumps([counts, (high_water_kb() - before) / 1024]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    counts, rise_mb = json.loads(proc.stdout.splitlines()[-1])
+    assert sum(counts) == 522001
+    assert rise_mb < 50, rise_mb
 
 
 def test_smith_normal_form_random():

@@ -27,6 +27,15 @@ def test_short_vector_walk_is_integer():
         assert "Fraction" not in {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)}
 
 
+def test_short_vector_walk_is_not_recursive():
+    # the walk takes one array step per level: no nested walk, no self call
+    tree = ast.parse((SRC / "lattices.py").read_text())
+    walk = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_short_vectors")
+    nested = [node for node in ast.walk(walk) if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not walk]
+    calls = {node.func.id for node in ast.walk(walk) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert nested == [] and "_short_vectors" not in calls
+
+
 def test_one_counting_kernel():
     # every coordinate-model count runs through `_coordinate_counts`; another
     # function allocating a DP table would be a second kernel to keep exact

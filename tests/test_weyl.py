@@ -119,6 +119,51 @@ def test_reflection_orbits_refusals():
         lt.reflection_orbits(a2, [((1, 0, 0),)])
 
 
+def _orbits_by_reflection(L, objects, generators):
+    """reflection_orbits by closing each canonical object under
+    `lattices.reflection`, one Python tuple at a time."""
+    seen, orbits = set(), []
+    for obj in map(lt.canonical_object, objects):
+        if obj in seen:
+            continue
+        orbit, todo = {obj}, [obj]
+        while todo:
+            cur = todo.pop()
+            for r in generators:
+                image = lt.canonical_object([lt.reflection(L, r, v) for v in cur])
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        seen |= orbit
+        orbits.append(orbit)
+    orbits.sort(key=len, reverse=True)
+    return len(orbits), [len(o) for o in orbits], [min(o) for o in orbits]
+
+
+@pytest.mark.parametrize("n", [10**9, 3 * 10**9, 10**10])
+def test_orbits_with_gram_entries_past_int64(n):
+    # A2 in the basis with Gram ((2, 2n - 1), (2n - 1, 2n^2 - 2n + 2)): the root
+    # coordinates are near n, the Gram entries pass 2^63 from n = 3e9 on, and
+    # the root coordinates no longer pack into int64 keys at n = 1e10
+    L = lt.GramLattice(((2, 2 * n - 1), (2 * n - 1, 2 * n * n - 2 * n + 2)))
+    pos = weyl.positive_roots(L)
+    assert sorted(pos) == [(1, 0), (n - 1, -1), (n, -1)]
+    lines = [(r,) for r in pos]
+    expected = _orbits_by_reflection(L, lines, lt.roots(L))
+    assert expected == (1, [3], [((1, 0),)])
+    assert _orbits_by_reflection(L, [pos], lt.roots(L)) == (1, [1], [tuple(sorted(pos))])
+    if n < 10**10:
+        assert lt.reflection_orbits(L, lines) == expected
+        # generators may come as an iterator, read once
+        assert lt.reflection_orbits(L, lines, iter(lt.roots(L))) == expected
+        assert weyl.orbit_summary(L, "A2") == (1, 1, (1,))
+    else:
+        with pytest.raises(ValueError, match="too large to pack"):
+            lt.reflection_orbits(L, lines)
+        with pytest.raises(ValueError, match="too large to pack"):
+            weyl.orbit_summary(L, "A2")
+
+
 # ---------------------------------------------------------------------------
 # outputs pinned before the enumerators and the closure moved to root indices:
 # sha256 of repr(...), taken from the per-pair loop enumerators below and the
