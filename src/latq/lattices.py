@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
+from operator import mul
 
 __all__ = [
     "GramLattice",
@@ -676,7 +677,9 @@ def orthogonal_complement(L: GramLattice, vectors) -> GramLattice:
     kern = integer_kernel(m)
     if len(kern) != n - len(vecs):
         raise ValueError("vectors are linearly dependent")
-    g = [[sum(kern[a][i] * L.gram[i][j] * kern[b][j] for i in range(n) for j in range(n)) for b in range(len(kern))] for a in range(len(kern))]
+    # K G once, then (K G) K^t: k n^2 + k^2 n products
+    kg = [[sum(map(mul, row, col)) for col in zip(*L.gram)] for row in kern]
+    g = [[sum(map(mul, row, k)) for k in kern] for row in kg]
     return GramLattice(_freeze(g), f"perp({L.label})" if L.label else "perp")
 
 

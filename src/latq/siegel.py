@@ -24,9 +24,14 @@ and the polarisation counts) is read off the one trial division
 `arith._factor`, and every integer p-adic valuation is `arith._ord`.  The
 numeric L-value route factors no n: it tabulates b_n for all n at once over
 a prime sieve, with the Legendre symbols of every prime from one
-Euler-criterion pass on arrays.  The brute-force b_n and the counting oracle
-factor nothing either, so they stay independent of the closed forms they
-certify.
+Euler-criterion pass on arrays, and its enclosure is memoised per
+(delta, terms), so each discriminant builds one table however many t share
+it.  The Cohen route's generalized Bernoulli numbers come from integer power
+sums sum_a chi(a) a^j, with rationals only in the final n + 1 terms.
+Neither memo nor power sums factor anything.  The brute-force b_n and the
+counting oracle factor nothing either, so they stay independent of the
+closed forms they certify.  The oracle's Jordan split is verified on
+integer matrices, each scaled by one common denominator.
 
 Densities are normalized as limits of p^{-a(m-1)} #{X mod p^a : S(X) = t}.
 """
@@ -37,7 +42,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
+from operator import mul
 
 from .arith import _factor, _ord
 from .lattices import A as _A
@@ -322,9 +328,15 @@ ZETA2 = math.pi**2 / 6
 ZETA4 = math.pi**4 / 90
 
 
+@lru_cache(maxsize=512)
 def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
     """Rigorous enclosure (lo, hi) of zeta(2s)/zeta(s) * sum b_n(delta) n^-s
     at s = 2, the only point the representation numbers need.
+
+    The enclosure depends on (delta, terms) alone and one delta serves many
+    (form, t): t and p^2 t for p | det A share it, and S5 and A1+D4 give
+    the same delta at every t.  So it is cached, and each discriminant
+    builds its b_n table once.
 
     The b_n come from `_b_table`, which reads them off Euler's criterion
     over a prime sieve and factors no n.  The partial sum is the last entry
@@ -371,20 +383,24 @@ def bernoulli_number(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-def _bernoulli_poly(n: int, x: Fraction) -> Fraction:
-    return sum(comb(n, k) * bernoulli_number(k) * x ** (n - k) for k in range(n + 1))
-
-
 @lru_cache(maxsize=512)
 def generalized_bernoulli(n: int, D: int) -> Fraction:
-    """B_{n,chi_D} for the Kronecker character of a fundamental discriminant D."""
-    f = abs(D) if D != 1 else 1
-    acc = Fraction(0)
+    """B_{n,chi_D} for the Kronecker character of a fundamental discriminant D.
+
+    Expanding the definition f^(n-1) sum_a chi(a) B_n(a/f) over a = 1..f,
+    f = |D|, by B_n(x) = sum_k C(n, k) B_k x^(n-k) gives
+    sum_k C(n, k) B_k f^(k-1) S_(n-k) with the integer power sums
+    S_j = sum_a chi(a) a^j, so the rationals enter only n + 1 times.
+    """
+    f = abs(D)
+    sums = [0] * (n + 1)
     for a in range(1, f + 1):
         chi = kronecker(D, a)
         if chi:
-            acc += chi * _bernoulli_poly(n, Fraction(a, f))
-    return f ** (n - 1) * acc
+            for j in range(n + 1):
+                sums[j] += chi
+                chi *= a
+    return sum(comb(n, k) * bernoulli_number(k) * Fraction(f**k, f) * sums[n - k] for k in range(n + 1))
 
 
 def cohen_H(m1: int, delta: int) -> Fraction:
@@ -707,7 +723,13 @@ def jordan_split(s_matrix, p: int):
         for i, row in enumerate(blk):
             expected[off + i][off : off + len(blk)] = row
         off += len(blk)
-    if _congruent(m0, t) != expected:
+    # on one common denominator each: (s_t T)^t (s_m M0) (s_t T) in integers
+    scale_t = lcm(*(x.denominator for row in t for x in row))
+    scale_m = lcm(*(x.denominator for row in m0 for x in row))
+    ti = [[int(x * scale_t) for x in row] for row in t]
+    mi = [[int(x * scale_m) for x in row] for row in m0]
+    scale = scale_t * scale_t * scale_m
+    if _congruent(mi, ti) != [[x * scale for x in row] for row in expected]:
         raise AssertionError("T^t M T is not the block diagonal matrix")
     return t, blocks
 
@@ -737,9 +759,10 @@ def _frac_det(mat):
 
 
 def _congruent(m0, t):
-    n = len(m0)
-    tm = [[sum(t[k][i] * m0[k][l] for k in range(n)) for l in range(n)] for i in range(n)]
-    return [[sum(tm[i][l] * t[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+    """T^t M0 T for integer matrices."""
+    tt = list(zip(*t))
+    tm = [[sum(map(mul, ti, col)) for col in zip(*m0)] for ti in tt]
+    return [[sum(map(mul, row, col)) for col in tt] for row in tm]
 
 
 def _mod_frac(x: Fraction, modulus: int) -> int:
@@ -1006,8 +1029,8 @@ def siegel_r(form, t: int, check_routes: bool = True, terms: int = 20000) -> Den
     routes_agree = True
     l_bounds = (float("nan"), float("nan"))
     if check_routes:
-        lo, hi = zagier_L_numeric(2, delta, terms=terms)
-        l_bounds = (lo, hi)
+        l_bounds = zagier_L_numeric(2, delta, terms=terms)  # the cached tuple, shared by every report of delta
+        lo, hi = l_bounds
         c_inf = alpha_infinity(t, form.m, form.det_a).value()
         scale = c_inf / ZETA4 * float(prod)
         r_lo, r_hi = scale * lo, scale * hi

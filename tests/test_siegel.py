@@ -185,6 +185,7 @@ def test_numeric_route_does_not_factor(monkeypatch):
     monkeypatch.setattr(sg, "_factor", refuse)
     sg._primes_upto.cache_clear()
     sg._large_prime_index.cache_clear()
+    sg.zagier_L_numeric.cache_clear()
     assert values() == expected
 
 
@@ -289,6 +290,62 @@ def test_bernoulli_numbers():
     assert sg.bernoulli_number(3) == 0
 
 
+def _generalized_bernoulli_by_definition(n, D):
+    """f^(n-1) sum_{a=1}^{f} chi_D(a) B_n(a/f), f = |D|, in Fractions."""
+    f = abs(D)
+    # B_n(x) = sum_k C(n, k) B_k x^(n-k), by Horner from the x^n coefficient
+    coeffs = [math.comb(n, k) * sg.bernoulli_number(k) for k in range(n + 1)]
+    acc = Fraction(0)
+    for a in range(1, f + 1):
+        chi = sg.kronecker(D, a)
+        if chi:
+            x, value = Fraction(a, f), Fraction(0)
+            for c in coeffs:
+                value = value * x + c
+            acc += chi * value
+    return f ** (n - 1) * acc
+
+
+def test_generalized_bernoulli_matches_definition():
+    # the power-sum route against the definition, on every fundamental D
+    # with |D| <= 500 (D = 1 included)
+    fundamental = [D for D in range(-500, 501) if D != 0 and sg.field_discriminant(D) == D]
+    assert len(fundamental) == 307 and 1 in fundamental
+    sg.generalized_bernoulli.cache_clear()
+    for D in fundamental:
+        for n in range(1, 5):
+            assert sg.generalized_bernoulli(n, D) == _generalized_bernoulli_by_definition(n, D), (n, D)
+
+
+def _clear_siegel_caches():
+    for obj in vars(sg).values():
+        clear = getattr(obj, "cache_clear", None)
+        if callable(clear):
+            clear()
+
+
+@pytest.mark.parametrize("form", sorted(sg.FORMS))
+def test_siegel_r_does_not_depend_on_call_order(form):
+    # the memoised L-value enclosure and Bernoulli numbers give the same
+    # report cold, in any order, as warm in ascending order
+    order = list(range(1, 41))
+    random.Random(17).shuffle(order)
+    _clear_siegel_caches()
+    cold = {t: repr(sg.siegel_r(form, t)) for t in order}
+    assert [cold[t] for t in range(1, 41)] == [repr(sg.siegel_r(form, t)) for t in range(1, 41)]
+
+
+def test_each_discriminant_builds_one_b_table(monkeypatch):
+    # S5 and A1D4 share every delta, and t, 4t share one: the 120 reports
+    # for t <= 40 need 43 tables
+    built = []
+    b_table = sg._b_table
+    monkeypatch.setattr(sg, "_b_table", lambda delta, terms: built.append(delta) or b_table(delta, terms))
+    _clear_siegel_caches()
+    deltas = [sg.siegel_r(form, t).delta for form in sorted(sg.FORMS) for t in range(1, 41)]
+    assert sorted(built) == sorted(set(deltas)) and len(built) == 43
+
+
 def test_cohen_numbers():
     assert sg.cohen_H(2, 1) == Fraction(-1, 12)
     assert sg.cohen_H(2, 5) == Fraction(-2, 5)
@@ -386,6 +443,33 @@ def test_jordan_split_shapes():
             assert sum(len(b) for b in blocks) == 5
             if p != 2:
                 assert all(len(b) == 1 for b in blocks)
+
+
+def _perturbed_congruence(congruent):
+    def wrong(m0, t):
+        out = congruent(m0, t)
+        out[0][0] += 1
+        return out
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "attr, patch, message",
+    [
+        # pivots chosen with no regard to valuation divide by 3 in T
+        ("_val_p", lambda _: lambda x, p: 0 if x else math.inf, "not p-integral"),
+        ("_frac_det", lambda _: lambda t: Fraction(3), "not a p-unit"),
+        ("_congruent", _perturbed_congruence, "not the block diagonal"),
+    ],
+)
+def test_jordan_split_verification_refuses(monkeypatch, attr, patch, message):
+    m = ((Fraction(3), Fraction(1)), (Fraction(1), Fraction(1)))
+    t, blocks = sg.jordan_split(m, 3)
+    assert all(x.denominator % 3 for row in t for x in row) and len(blocks) == 2
+    monkeypatch.setattr(sg, attr, patch(getattr(sg, attr)))
+    with pytest.raises(AssertionError, match=message):
+        sg.jordan_split(m, 3)
 
 
 def test_oracle_form_scaling_identities():

@@ -97,3 +97,22 @@ def test_density_oracle_names_no_closed_form():
     offenders = {fn: sorted(n for n in names(functions[fn]) if n in closed or n.startswith("alpha2_")) for fn in sorted(reached)}
     assert {fn: bad for fn, bad in offenders.items() if bad} == {}
     assert {"jordan_split", "_ord", "_check_prime_level"} <= reached
+
+
+def test_caches_decorate_module_level_functions():
+    # perfbench's reset_latq_caches and the tests' cache_clear calls reach a
+    # functools cache through the module namespace; a cache on a nested
+    # function or a method, or one applied by a call, would outlive them
+    # and carry results from one benchmark round into the next
+    caches = ("cache", "lru_cache")
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        names = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "functools" for alias in node.names if alias.name in caches}
+        allowed = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef) for dec in fn.decorator_list for node in ast.walk(dec)}
+        for node in ast.walk(tree):
+            named = isinstance(node, ast.Name) and node.id in names
+            dotted = isinstance(node, ast.Attribute) and node.attr in caches and getattr(node.value, "id", None) == "functools"
+            if (named or dotted) and id(node) not in allowed:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
