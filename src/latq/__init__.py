@@ -69,7 +69,6 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "EisensteinInteger",
             "QSeries",
             "scale_tau",
             "shift_tau_by_one",

@@ -490,6 +490,8 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
     """
     if not L.is_even:
         raise ValueError("theta_counts expects an even lattice")
+    if prec < 0:
+        raise ValueError("prec must be non-negative")
     if method == "auto":
         c = _model_counts(L, max(prec, 1))
         if c is not None:
@@ -678,8 +680,7 @@ def orthogonal_complement(L: GramLattice, vectors) -> GramLattice:
     if len(kern) != n - len(vecs):
         raise ValueError("vectors are linearly dependent")
     # K G once, then (K G) K^t: k n^2 + k^2 n products
-    kg = [[sum(map(mul, row, col)) for col in zip(*L.gram)] for row in kern]
-    g = [[sum(map(mul, row, k)) for k in kern] for row in kg]
+    g = _congruent(L.gram, list(zip(*kern)))
     return GramLattice(_freeze(g), f"perp({L.label})" if L.label else "perp")
 
 
@@ -779,8 +780,13 @@ def smith_normal_form(mat):
 
 
 def _mat_mul(a, b):
-    rows, inner_, cols = len(a), len(b), len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(inner_)) for j in range(cols)] for i in range(rows)]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _congruent(g, u):
+    """u^T g u for integer matrices."""
+    return _mat_mul(_mat_mul(list(zip(*u)), g), u)
 
 
 ISOMETRY_MAX_RANK = 8

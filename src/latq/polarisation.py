@@ -230,6 +230,7 @@ def stable_index_formula(t: int, d: int, f: int) -> int:
 
 
 def _require_w1(t: int, d: int, f: int):
+    _check_positive(t, d, f)
     if gcd(2 * t, 2 * d) % f:
         raise ValueError("f must divide gcd(2t, 2d)")
     q = PolarisationQuery.build(t, d, f)

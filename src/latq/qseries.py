@@ -1,11 +1,11 @@
-"""Truncated q-expansions with exact coefficients.
+"""Truncated q-expansions with exact integer coefficients.
 
-A QSeries stores coefficients on the exponent grid (1/N)*Z>=0, valid for all
-exponents below its precision.  Coefficients are Python ints or Eisenstein
-integers a + b*zeta with zeta^2 = zeta - 1 (a primitive sixth root of unity),
-which is enough to expand the Jacobi theta function at the rational shifts
-k/6 and hence the classical theta identities for the A_n (n+1 | 6) and D_n
-root lattices.
+A QSeries stores Python-int coefficients on the exponent grid (1/N)*Z>=0,
+valid for all exponents below its precision.  The Jacobi theta function at
+the rational shifts k/6 pairs n with -n, so its coefficients
+zeta^{nk} + zeta^{-nk} = 2 cos(pi nk/3) are rational integers too; that is
+enough for the classical theta identities of the A_n (n+1 | 6) and D_n root
+lattices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ if TYPE_CHECKING:
     from .lattices import GramLattice
 
 __all__ = [
-    "EisensteinInteger",
     "QSeries",
     "theta3",
     "theta3_shifted",
@@ -35,61 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_PREC = 128
-
-
-@dataclass(frozen=True)
-class EisensteinInteger:
-    """a + b*zeta with zeta^2 = zeta - 1 (zeta = e^{i pi/3})."""
-
-    a: int
-    b: int
-
-    def __add__(self, other):
-        other = _eis(other)
-        return EisensteinInteger(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return EisensteinInteger(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-_eis(other))
-
-    def __rsub__(self, other):
-        return _eis(other) + (-self)
-
-    def __mul__(self, other):
-        other = _eis(other)
-        # (a + b z)(c + d z) = ac + (ad + bc) z + bd (z - 1)
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInteger(a * c - b * d, a * d + b * c + b * d)
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return EisensteinInteger(self.a + self.b, -self.b)
-
-    @property
-    def is_rational(self):
-        return self.b == 0
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    @staticmethod
-    def zeta_power(m: int) -> "EisensteinInteger":
-        table = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
-        a, b = table[m % 6]
-        return EisensteinInteger(a, b)
-
-
-def _eis(x):
-    if isinstance(x, EisensteinInteger):
-        return x
-    if isinstance(x, int):
-        return EisensteinInteger(x, 0)
-    raise TypeError(f"cannot coerce {x!r} to an Eisenstein integer")
 
 
 @dataclass(frozen=True)
@@ -140,7 +84,7 @@ class QSeries:
         return QSeries(a.grid, a.prec, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
     def __mul__(self, other):
-        if isinstance(other, (int, EisensteinInteger)):
+        if isinstance(other, int):
             return QSeries(self.grid, self.prec, tuple(other * c for c in self.coeffs))
         a, b = self._common(other)
         n = a.units
@@ -169,10 +113,7 @@ class QSeries:
 
     def inverse(self):
         """Multiplicative inverse; the constant coefficient must be a unit."""
-        c0 = self.coeffs[0]
-        if isinstance(c0, EisensteinInteger):
-            raise ValueError("inverse over the Eisenstein ring is not supported")
-        if c0 not in (1, -1):
+        if self.coeffs[0] not in (1, -1):
             raise ValueError("constant coefficient must be a unit")
         one = QSeries(self.grid, self.prec, (1,) + (0,) * (self.units - 1))
         return _divide_exact(one, self)
@@ -204,21 +145,9 @@ class QSeries:
                 raise ValueError("series does not live on integer exponents")
         return QSeries(1, self.prec, tuple(out))
 
-    def rationalize(self):
-        """Convert Eisenstein coefficients with b=0 to plain ints."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, EisensteinInteger):
-                if not c.is_rational:
-                    raise ValueError("series has an irrational coefficient")
-                out.append(c.a)
-            else:
-                out.append(c)
-        return QSeries(self.grid, self.prec, tuple(out))
-
     def integer_coefficients(self):
         """Coefficient list on the integer grid (asserts integrality)."""
-        return list(self.rationalize().to_integer_grid().coeffs)
+        return list(self.to_integer_grid().coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +172,21 @@ def theta3(prec: int = DEFAULT_PREC) -> QSeries:
     return QSeries(2, prec, tuple(c))
 
 
+# 2 cos(pi j/3) = zeta^j + zeta^-j for j = 0..5, zeta = e^{i pi/3}
+_TWO_COS = (2, 1, -1, -2, -1, 1)
+
+
 def theta3_shifted(k: int, prec: int = DEFAULT_PREC) -> QSeries:
-    """Sum_n q^{n^2/2} zeta6^{nk} over the Eisenstein integers."""
+    """Sum_n q^{n^2/2} zeta6^{nk}: the terms n and -n add to 2 cos(pi nk/3)."""
     if not 0 <= k <= 5:
         raise ValueError("shift index must be in 0..5")
     _check_prec(prec)
     units = 2 * prec
-    c = [EisensteinInteger(0, 0)] * units
-    c[0] = EisensteinInteger(1, 0)
+    c = [0] * units
+    c[0] = 1
     n = 1
     while n * n < units:
-        c[n * n] = c[n * n] + EisensteinInteger.zeta_power(n * k) + EisensteinInteger.zeta_power(-n * k)
+        c[n * n] = _TWO_COS[n * k % 6]
         n += 1
     return QSeries(2, prec, tuple(c))
 
@@ -295,15 +228,15 @@ def theta_A(n: int, prec: int = DEFAULT_PREC) -> QSeries:
 
     Classical identity: sum_{k mod n+1} theta3(tau, k/(n+1))^{n+1} divided by
     (n+1) * theta3((n+1) tau); integrality of the result is asserted.  Each
-    shifted theta has the coefficients zeta^j + zeta^-j, rational integers,
-    so it is rationalized before the power and the products run on ints.
+    shifted theta has the integer coefficients 2 cos(pi j/3), so every
+    product runs on ints.
     """
     if (n + 1) not in (2, 3, 6):
         raise ValueError("theta_A is implemented for n in {1, 2, 5}")
     step = 6 // (n + 1)
     num = None
     for k in range(n + 1):
-        term = theta3_shifted((k * step) % 6, prec).rationalize() ** (n + 1)
+        term = theta3_shifted((k * step) % 6, prec) ** (n + 1)
         num = term if num is None else num + term
     den = scale_tau(theta3(prec), n + 1) * (n + 1)
     # constant terms: num starts with n+1, den with n+1 -> normalize exactly
@@ -368,14 +301,22 @@ def _record_digest(name, grid, prec, body) -> str:
 
 
 def save_theta_cache(path, records):
-    """Write {(name, grid, prec): coefficient list} to a plain-text file."""
+    """Write {(name, grid, prec): coefficient list} to a plain-text file.
+
+    A header that `load_theta_cache` would not read back (a negative prec,
+    say) is refused before the file is opened: the loader refuses the whole
+    file, so the next store would drop every record.
+    """
     # the first line counts the records, so that losing a record of no
     # coefficients (a header line alone) is detected too
     lines = [f"{CACHE_MAGIC} records={len(records)}"]
     for (name, grid, prec), coeffs in sorted(records.items()):
         body = [str(int(c)) for c in coeffs]
         digest = _record_digest(name, grid, prec, body)
-        lines.append(f"record name={name} grid={grid} prec={prec} count={len(body)} sha256={digest}")
+        head = f"record name={name} grid={grid} prec={prec} count={len(body)} sha256={digest}"
+        if _CACHE_HEADER.fullmatch(head) is None:
+            raise ValueError(f"cannot store the record ({name!r}, {grid!r}, {prec!r})")
+        lines.append(head)
         lines.extend(body)
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

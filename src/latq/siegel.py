@@ -43,12 +43,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
-from operator import mul
 
 from .arith import _factor, _ord
 from .lattices import A as _A
 from .lattices import D as _D
-from .lattices import direct_sum, span
+from .lattices import _congruent, _det_bareiss, direct_sum, span
 
 __all__ = [
     "kronecker",
@@ -714,9 +713,6 @@ def jordan_split(s_matrix, p: int):
         for x in row:
             if x.denominator % p == 0:
                 raise AssertionError("transform not p-integral")
-    det_t = _frac_det(t)
-    if _val_p(det_t, p) != 0:
-        raise AssertionError("transform determinant is not a p-unit")
     expected = [[Fraction(0)] * n for _ in range(n)]
     off = 0
     for blk in blocks:
@@ -728,41 +724,13 @@ def jordan_split(s_matrix, p: int):
     scale_m = lcm(*(x.denominator for row in m0 for x in row))
     ti = [[int(x * scale_t) for x in row] for row in t]
     mi = [[int(x * scale_m) for x in row] for row in m0]
+    # scale_t is prime to p, so det T is a p-unit exactly when det(s_t T) is
+    if _det_bareiss(ti) % p == 0:
+        raise AssertionError("transform determinant is not a p-unit")
     scale = scale_t * scale_t * scale_m
     if _congruent(mi, ti) != [[x * scale for x in row] for row in expected]:
         raise AssertionError("T^t M T is not the block diagonal matrix")
     return t, blocks
-
-
-def _frac_det(mat):
-    n = len(mat)
-    m = [row[:] for row in mat]
-    det = Fraction(1)
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if m[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
-
-
-def _congruent(m0, t):
-    """T^t M0 T for integer matrices."""
-    tt = list(zip(*t))
-    tm = [[sum(map(mul, ti, col)) for col in zip(*m0)] for ti in tt]
-    return [[sum(map(mul, row, col)) for col in tt] for row in tm]
 
 
 def _mod_frac(x: Fraction, modulus: int) -> int:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from latq import cli
+from latq import qseries as qs
 
 
 def run_cli(capsys, *argv):
@@ -143,6 +144,8 @@ def test_usage_error_exit_1(capsys):
         (("theta", "--lattice", "D4", "--prec", "0"), cli.USAGE_ERROR),
         (("theta", "--lattice", "D4", "--prec", "-2", "--method", "closed"), cli.USAGE_ERROR),
         (("inequality", "--coeff", "5", "--m-max", "0"), cli.USAGE_ERROR),
+        (("theta", "--lattice", "E7", "--prec", "-3", "--method", "enum"), cli.USAGE_ERROR),
+        (("index", "--t", "3", "--d", "3", "--f", "0"), cli.USAGE_ERROR),
     ],
 )
 def test_bad_input_exit_codes(capsys, argv, code):
@@ -157,6 +160,25 @@ def test_theta_enum_prec_0_is_empty(capsys):
     code, out, _ = run_cli(capsys, "theta", "--lattice", "D4", "--prec", "0", "--method", "enum")
     assert code == 0
     assert json.loads(out)["result"]["coefficients"] == []
+
+
+def test_refused_theta_keeps_cache_records(tmp_path, capsys):
+    # a refused prec must not reach the cache: a header the loader rejects
+    # would make the next store start from nothing and drop every record
+    cache = str(tmp_path / "theta.cache")
+    code, _, _ = run_cli(capsys, "--cache", cache, "theta", "--lattice", "D6", "--prec", "4", "--method", "enum")
+    assert code == 0
+    before = qs.load_theta_cache(cache)
+    code, out, _ = run_cli(capsys, "--cache", cache, "theta", "--lattice", "E7", "--prec", "-3", "--method", "enum")
+    assert code == cli.USAGE_ERROR and out == ""
+    code, _, _ = run_cli(capsys, "--cache", cache, "theta", "--lattice", "A5", "--prec", "3", "--method", "enum")
+    assert code == 0
+    after = qs.load_theta_cache(cache)
+    assert after[("D6", 1, 4)] == before[("D6", 1, 4)] == [1, 60, 252, 544]
+    assert set(after) == {("D6", 1, 4), ("A5", 1, 3)}
+    with pytest.raises(ValueError, match="cannot store"):
+        qs.save_theta_cache(cache, {**after, ("E7", 1, -3): []})
+    assert qs.load_theta_cache(cache) == after
 
 
 def test_bad_input_exit_code_under_optimize():

@@ -454,11 +454,6 @@ def _unimodular(draw, n):
     return u
 
 
-def _congruent(g, u):
-    """u^T g u"""
-    return lt._mat_mul(lt._mat_mul([list(r) for r in zip(*u)], g), u)
-
-
 def _identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -471,9 +466,9 @@ def _lattice(g):
 @given(st.data())
 def test_is_isometric_under_change_of_basis(data):
     b = data.draw(_nonsingular())
-    g = _congruent(_identity(len(b)), b)
+    g = lt._congruent(_identity(len(b)), b)
     u = data.draw(_unimodular(len(b)))
-    assert lt.is_isometric(_lattice(g), _lattice(_congruent(g, u)))
+    assert lt.is_isometric(_lattice(g), _lattice(lt._congruent(g, u)))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -483,9 +478,9 @@ def test_is_isometric_false_when_theta_series_differ(data):
     # are isometric when S^T S = 1; otherwise they mostly are not
     b = data.draw(_nonsingular())
     n = len(b)
-    sts = _congruent(_identity(n), data.draw(_unimodular(n)))
-    g1, g2 = _congruent(_identity(n), b), _congruent(sts, b)
-    L1, L2 = _lattice(g1), _lattice(_congruent(g2, data.draw(_unimodular(n))))
+    sts = lt._congruent(_identity(n), data.draw(_unimodular(n)))
+    g1, g2 = lt._congruent(_identity(n), b), lt._congruent(sts, b)
+    L1, L2 = _lattice(g1), _lattice(lt._congruent(g2, data.draw(_unimodular(n))))
     bound = max(g1[k][k] for k in range(n)) + 2
     theta1, theta2 = (sorted(lt._short_vectors(L, bound, coords=False)[1].tolist()) for L in (L1, L2))
     if theta1 != theta2:

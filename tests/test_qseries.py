@@ -1,13 +1,14 @@
 import hashlib
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latq import cli
 from latq import lattices as lt
 from latq import qseries as qs
-from latq.qseries import EisensteinInteger as E
 
 
 def test_theta3_expansion():
@@ -26,10 +27,40 @@ def test_theta3_expansion():
 
 
 def test_theta3_shifts():
-    assert qs.theta3_shifted(0, 10).rationalize().coeffs == qs.theta3(10).coeffs
-    alt = qs.theta3_shifted(3, 10).rationalize()
+    assert qs.theta3_shifted(0, 10).coeffs == qs.theta3(10).coeffs
+    alt = qs.theta3_shifted(3, 10)
     t3 = qs.theta3(10)
     assert all(a == (-b if k % 2 else b) for k, (a, b) in enumerate(zip(alt.coeffs, t3.coeffs)))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_theta3_shifted_is_integer(k):
+    # zeta^{nk} + zeta^{-nk} = 2 cos(pi nk/3) at unit n^2, nothing off the squares
+    coeffs = qs.theta3_shifted(k, 40).coeffs
+    assert all(type(c) is int for c in coeffs)
+    expected = [1] + [0] * (len(coeffs) - 1)
+    for n in range(1, math.isqrt(len(coeffs) - 1) + 1):
+        expected[n * n] = round(2 * math.cos(math.pi * n * k / 3))
+    assert list(coeffs) == expected
+
+
+# sha256 of repr(integer_coefficients()) at prec 128, as computed when the
+# shifted thetas still had Eisenstein-integer coefficients
+_CLOSED_SHA256 = {
+    "A1": "e819956beb105e9afe54b946f4745ccea3e7188a38a6c040a7329b194a28d06e",
+    "A2": "01283bf9d1448c752d6beb4f0eb6dac5066bcd473b5f009d103eae3968243439",
+    "A5": "0c2b0e445d5a7eccce48936bd3a9b7eec102852366d050e0b3c36bcd4083ea3c",
+    "D4": "9abb3b7fb2314ca41cc4defc83e687b5322c26ffdf2d207f892b10b27b4f7c1b",
+    "D6": "97a3dc66b0456f18321f37fe69cced13feb97a8159b7c388521303c27ee6dfc3",
+    "A1D4": "f95257a757defb29cb057a51ac803e12dd1dd6be0340f05cfb61b5aba30411a9",
+}
+
+
+def test_closed_thetas_pinned():
+    assert set(cli._THETA_CLOSED) == set(_CLOSED_SHA256)
+    for name, build in cli._THETA_CLOSED.items():
+        coeffs = build(128).integer_coefficients()
+        assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == _CLOSED_SHA256[name], name
 
 
 def test_scale_and_shift():
@@ -45,24 +76,6 @@ def test_scale_and_shift():
     assert qs.shift_tau_by_one(d6).coeffs == d6.coeffs
     with pytest.raises(ValueError):
         qs.shift_tau_by_one(qs.QSeries(3, 2, (1, 0, 0, 0, 0, 0)))
-
-
-def test_eisenstein_ring():
-    z = E.zeta_power(1)
-    assert z * z == E.zeta_power(2) == E(-1, 1)
-    assert E.zeta_power(3) == E(-1, 0)
-    assert z * E.zeta_power(5) == E(1, 0)
-    x = E(2, 3)
-    assert x.conjugate() == E(5, -3)
-    assert (x * x.conjugate()).is_rational
-    assert x * (E(1, 1) + E(0, 2)) == x * E(1, 1) + x * E(0, 2)
-    assert not E(0, 0)
-    rng = random.Random(3)
-    for _ in range(50):
-        a, b, c = (E(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(3))
-        assert (a * b) * c == a * (b * c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
 
 
 def test_theta_A_values():
@@ -83,8 +96,8 @@ def test_theta_A_matches_enumeration(n):
 
 
 def test_theta_A_coefficients_pinned():
-    # sha256 of the coefficients as computed before the shifted thetas were
-    # rationalized ahead of their powers: the integer products change nothing
+    # sha256 of the coefficients as computed when the shifted thetas still
+    # had Eisenstein-integer coefficients: the integer blocks change nothing
     precs = (1, 2, 3, 8, 33, 103, 128, 200)
     coeffs = [qs.theta_A(n, prec).coeffs for n in (1, 2, 5) for prec in precs]
     assert hashlib.sha256(repr(coeffs).encode()).hexdigest() == "4e94490b4fae11f3cb190f7e826da3f181106dc8badafc6b4ca7f8e97e8a8480"
@@ -164,12 +177,9 @@ def test_integrality_guards():
     t3 = qs.theta3(6)
     with pytest.raises(ValueError):
         t3.to_integer_grid()
-    # shifted series collapse conjugate terms, so they are secretly rational
-    shifted = qs.theta3_shifted(1, 6).rationalize()
+    # shifted series collapse conjugate terms into integers
+    shifted = qs.theta3_shifted(1, 6)
     assert shifted.coeffs[:5] == (1, 1, 0, 0, -1)
-    irrational = qs.QSeries(1, 2, (E(1, 0), E(0, 1)))
-    with pytest.raises(ValueError):
-        irrational.rationalize()
 
 
 def test_cache_roundtrip(tmp_path):

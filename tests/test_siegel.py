@@ -459,7 +459,7 @@ def _perturbed_congruence(congruent):
     [
         # pivots chosen with no regard to valuation divide by 3 in T
         ("_val_p", lambda _: lambda x, p: 0 if x else math.inf, "not p-integral"),
-        ("_frac_det", lambda _: lambda t: Fraction(3), "not a p-unit"),
+        ("_det_bareiss", lambda _: lambda t: 3, "not a p-unit"),
         ("_congruent", _perturbed_congruence, "not the block diagonal"),
     ],
 )

@@ -49,6 +49,23 @@ def test_one_counting_kernel():
     assert owners == {"_coordinate_counts"}
 
 
+def test_one_matrix_product():
+    # every integer matrix product, and so every congruence u^T g u, runs
+    # through `lattices._mat_mul`; a second product loop would be a second
+    # piece of exact linear algebra to keep right
+    importers, users = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator" and any(alias.name == "mul" for alias in node.names):
+                importers.add(path.name)
+            if isinstance(node, ast.FunctionDef):
+                if "mul" in {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}:
+                    users.add(f"{path.name}:{node.name}")
+    assert importers == {"lattices.py"}
+    assert users == {"lattices.py:_mat_mul"}
+
+
 def _module_level(node):
     """The nodes that run when the module is imported: all but function bodies."""
     for child in ast.iter_child_nodes(node):
@@ -76,10 +93,10 @@ def test_numpy_is_imported_where_it_runs():
 
 def test_density_oracle_names_no_closed_form():
     # the counting oracle certifies the closed-form densities, so no function
-    # it reaches in siegel.py, or in the arith.py helpers siegel imports, may
-    # name one of them or the factorisation
+    # it reaches in siegel.py, or in the arith.py and lattices.py helpers
+    # siegel imports, may name one of them or the factorisation
     functions = {}
-    for name in ("arith.py", "siegel.py"):
+    for name in ("arith.py", "lattices.py", "siegel.py"):
         tree = ast.parse((SRC / name).read_text())
         functions.update({node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)})
 
@@ -96,7 +113,7 @@ def test_density_oracle_names_no_closed_form():
     closed = {"alpha3_A5", "alpha_regular", "_CLOSED_ALPHAS", "alpha_closed", "local_factor", "_factor"}
     offenders = {fn: sorted(n for n in names(functions[fn]) if n in closed or n.startswith("alpha2_")) for fn in sorted(reached)}
     assert {fn: bad for fn, bad in offenders.items() if bad} == {}
-    assert {"jordan_split", "_ord", "_check_prime_level"} <= reached
+    assert {"jordan_split", "_ord", "_check_prime_level", "_congruent", "_det_bareiss", "_mat_mul"} <= reached
 
 
 def test_caches_decorate_module_level_functions():
