@@ -37,9 +37,9 @@ a5 = lt.theta_counts(lt.A(5), 21)
 a1d4 = lt.theta_counts(lt.standard_lattice("A1+D4"), 21)
 print(" t | r(t, S5) | r(t, A1+D4) | r(t, A5)   (all equal the exhaustive counts)")
 for t in range(1, 11):
-    r1 = sg.siegel_r("S5", t, check_routes=False).r
-    r2 = sg.siegel_r("A1D4", t, check_routes=False).r
-    r3 = sg.siegel_r("A5", t, check_routes=False).r
+    r1 = sg.siegel_r("S5", t).r
+    r2 = sg.siegel_r("A1D4", t).r
+    r3 = sg.siegel_r("A5", t).r
     assert r2 == a1d4[t] and r3 == a5[t]
     print(f"{t:2d} | {r1:8d} | {r2:11d} | {r3:8d}")
 

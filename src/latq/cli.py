@@ -147,8 +147,12 @@ def _cache_store(args, name, prec, coeffs):
         return
     try:
         records = _qs().load_theta_cache(args.cache)
-    except (FileNotFoundError, ValueError):
+    except FileNotFoundError:
         records = {}
+    except ValueError as exc:
+        # rewriting would drop the records a refused file still holds
+        print(f"leaving cache unchanged: {exc}", file=sys.stderr)
+        return
     records[(name, 1, prec)] = list(coeffs)
     _qs().save_theta_cache(args.cache, records)
 

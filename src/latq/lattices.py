@@ -496,6 +496,8 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
         c = _model_counts(L, max(prec, 1))
         if c is not None:
             return list(c[:prec])
+    elif method not in ("fincke-pohst",):
+        raise ValueError(f"unknown method {method!r}")
     import numpy as np
 
     norms = _short_vectors(L, 2 * max(prec - 1, 0), coords=False)[1]

@@ -15,7 +15,8 @@ arithmetic:
     an exact unimodular transform and count solutions of S(X) = t mod p^a:
     each block's value counts by a split x = x0 + p^ceil(a/2) z (a bincount
     over p^(ceil(a/2) k) points), convolved as functions on the O(a) square
-    classes {u^2 v} of Z/p^a, with stabilization checking,
+    classes {u^2 v} of Z/p^a, with stabilization checking; a form key is
+    read as its S-matrix, and the counts are memoised per (S-matrix, p, a),
   * the assembled representation numbers r(t) with two independent routes
     (exact Cohen-number route, numeric L-value route) that must agree.
 
@@ -328,9 +329,9 @@ ZETA4 = math.pi**4 / 90
 
 
 @lru_cache(maxsize=512)
-def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
-    """Rigorous enclosure (lo, hi) of zeta(2s)/zeta(s) * sum b_n(delta) n^-s
-    at s = 2, the only point the representation numbers need.
+def zagier_L_numeric(delta: int, terms: int = 20000):
+    """Rigorous enclosure (lo, hi) of zeta(4)/zeta(2) * sum b_n(delta) n^-2,
+    the L-value at s = 2, the only point the representation numbers need.
 
     The enclosure depends on (delta, terms) alone and one delta serves many
     (form, t): t and p^2 t for p | det A share it, and S5 and A1+D4 give
@@ -339,7 +340,7 @@ def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
 
     The b_n come from `_b_table`, which reads them off Euler's criterion
     over a prime sieve and factors no n.  The partial sum is the last entry
-    of `np.cumsum` of b_n / n^s over the n with b_n != 0: add.accumulate adds
+    of `np.cumsum` of b_n / n^2 over the n with b_n != 0: add.accumulate adds
     left to right, so the float is the one a loop over increasing n gives,
     bit for bit (each term is the correctly rounded quotient, as n^2 < 2^53
     is exact).  np.sum (pairwise), math.fsum and, from Python 3.12, the
@@ -349,8 +350,6 @@ def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
     """
     import numpy as np
 
-    if s != 2:
-        raise ValueError("the enclosure is rigorous only at s = 2")
     if delta % 4 not in (0, 1):
         raise ValueError("delta must be 0 or 1 mod 4")
     if delta == 0:
@@ -359,9 +358,9 @@ def zagier_L_numeric(s: float, delta: int, terms: int = 20000):
         raise ValueError("terms must be positive")
     table = _b_table(delta, terms)
     nz = np.flatnonzero(table)
-    partial = float(np.cumsum(table[nz] / nz.astype(np.float64) ** s)[-1])
-    # sum_{n>N} d(n) n^-s <= (2 ln N + 3.7) / N^{s-1} / (s-1)  (see module tests)
-    tail_d = (2 * math.log(terms) + 3.7) / (terms ** (s - 1)) / (s - 1)
+    partial = float(np.cumsum(table[nz] / nz.astype(np.float64) ** 2)[-1])
+    # sum_{n>N} d(n) n^-2 <= (2 ln N + 3.7) / N  (see module tests)
+    tail_d = (2 * math.log(terms) + 3.7) / terms
     tail = 2.0 * math.sqrt(abs(delta)) * tail_d
     front = ZETA4 / ZETA2
     return front * partial, front * (partial + tail)
@@ -849,33 +848,15 @@ def _block_counts(blocks, p: int, a: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def _blocks_for(key: str, p: int):
-    _, blocks = jordan_split(FORMS[key].s_matrix, p)
+def _blocks_for(s_matrix: tuple, p: int):
+    _, blocks = jordan_split(s_matrix, p)
     return tuple(blocks)
 
 
 @lru_cache(maxsize=64)
-def _form_counts(key: str, p: int, a: int) -> tuple:
-    return tuple(_block_counts(_blocks_for(key, p), p, a))
-
-
-@lru_cache(maxsize=64)
-def _joint_counts(key: str, p: int, a: int) -> tuple:
-    """Counts of S(X) = v mod p^a over (Z/p^a)^m, as a tuple of ints."""
-    import numpy as np
-
-    top = _TOP_LEVEL.get(p, 4)
-    if a < top:
-        folded = np.array(_joint_counts(key, p, a + 1), dtype=object).reshape(p, p**a).sum(axis=0)
-        out = [divmod(int(x), p ** FORMS[key].m) for x in folded.tolist()]
-        if any(r for _, r in out):
-            raise AssertionError("downfolding remainder")
-        return tuple(q for q, _ in out)
-    counts = _form_counts(key, p, a)
-    return tuple(counts[c] for c in _square_classes(p, a)[0].tolist())
-
-
-_TOP_LEVEL = {2: 12, 3: 8}
+def _form_counts(s_matrix: tuple, p: int, a: int) -> tuple:
+    """#{X mod p^a : S(X) = v}, one v per square class; one split per (S, p)."""
+    return tuple(_block_counts(_blocks_for(s_matrix, p), p, a))
 
 
 def _check_prime_level(p: int, a: int):
@@ -889,18 +870,14 @@ def _check_prime_level(p: int, a: int):
 def local_density_oracle(p: int, a: int, local_form, t: int) -> Fraction:
     """Level-a density approximation p^{-a(m-1)} #{X mod p^a : S(X)=t}.
 
-    ``local_form`` is a form key ('S5', 'A1D4', 'A5') or an explicit
-    symmetric rational matrix; p must be a prime and a >= 1.
+    ``local_form`` is a form key ('S5', 'A1D4', 'A5'), read as its
+    S-matrix, or an explicit symmetric rational matrix; p must be a prime
+    and a >= 1.
     """
     _check_prime_level(p, a)
-    if isinstance(local_form, str):
-        m = FORMS[local_form].m
-        if a <= _TOP_LEVEL.get(p, 4):
-            return Fraction(_joint_counts(local_form, p, a)[t % p**a], p ** (a * (m - 1)))
-        counts = _form_counts(local_form, p, a)
-    else:
-        m, counts = len(local_form), _block_counts(jordan_split(local_form, p)[1], p, a)
-    return Fraction(counts[_square_classes(p, a)[0][t % p**a]], p ** (a * (m - 1)))
+    s_matrix = FORMS[local_form].s_matrix if isinstance(local_form, str) else tuple(map(tuple, local_form))
+    counts = _form_counts(s_matrix, p, a)
+    return Fraction(counts[_square_classes(p, a)[0][t % p**a]], p ** (a * (len(s_matrix) - 1)))
 
 
 class StabilizationError(RuntimeError):
@@ -955,12 +932,12 @@ def local_factor(form: OddForm, p: int, t: int) -> Fraction:
     return num / den * form.alpha_closed(p, t)
 
 
-def siegel_r(form, t: int, check_routes: bool = True, terms: int = 20000) -> DensityReport:
+def siegel_r(form, t: int) -> DensityReport:
     """Exact representation number of t by the genus of the form.
 
-    Assembles the Cohen-number route exactly; when check_routes is set the
-    numeric L-value route is evaluated with a rigorous tail enclosure and the
-    two must agree.
+    Assembles the Cohen-number route exactly and checks it, on every call,
+    against the numeric L-value route, whose rigorous enclosure the report
+    carries as l_value_bounds; a disagreement raises AssertionError.
     """
     if isinstance(form, str):
         form = FORMS[form]
@@ -994,18 +971,13 @@ def siegel_r(form, t: int, check_routes: bool = True, terms: int = 20000) -> Den
     r_exact = Fraction(2 * fa**3, form.det_a**2) * bconst * (-hval) * prod
     if r_exact.denominator != 1 or r_exact < 0:
         raise AssertionError(f"assembled representation number is not a nonnegative integer: {r_exact}")
-    routes_agree = True
-    l_bounds = (float("nan"), float("nan"))
-    if check_routes:
-        l_bounds = zagier_L_numeric(2, delta, terms=terms)  # the cached tuple, shared by every report of delta
-        lo, hi = l_bounds
-        c_inf = alpha_infinity(t, form.m, form.det_a).value()
-        scale = c_inf / ZETA4 * float(prod)
-        r_lo, r_hi = scale * lo, scale * hi
-        pad = 1e-9 * max(1.0, r_hi)
-        routes_agree = (r_lo - pad) <= float(r_exact) <= (r_hi + pad)
-        if not routes_agree:
-            raise AssertionError(f"Siegel routes disagree for {form.key}, t={t}: exact {r_exact}, numeric [{r_lo}, {r_hi}]")
+    lo, hi = l_bounds = zagier_L_numeric(delta)  # the cached tuple, shared by every report of delta
+    c_inf = alpha_infinity(t, form.m, form.det_a).value()
+    scale = c_inf / ZETA4 * float(prod)
+    r_lo, r_hi = scale * lo, scale * hi
+    pad = 1e-9 * max(1.0, r_hi)
+    if not (r_lo - pad) <= float(r_exact) <= (r_hi + pad):
+        raise AssertionError(f"Siegel routes disagree for {form.key}, t={t}: exact {r_exact}, numeric [{r_lo}, {r_hi}]")
     return DensityReport(
         form=form.key,
         t=t,
@@ -1019,7 +991,7 @@ def siegel_r(form, t: int, check_routes: bool = True, terms: int = 20000) -> Den
         cohen=hval,
         l_value_bounds=l_bounds,
         r=int(r_exact),
-        routes_agree=routes_agree,
+        routes_agree=True,  # reached only past the check above
     )
 
 

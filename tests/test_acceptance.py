@@ -102,9 +102,9 @@ def test_criterion_05_siegel_exactness():
         a5 = lt.theta_counts(lt.A(5), 61)
         a1d4 = lt.theta_counts(lt.standard_lattice("A1+D4"), 61)
         for t in range(1, 61):
-            assert sg.siegel_r("S5", t, terms=4000).r == int(r5[t]), t
-            assert sg.siegel_r("A1D4", t, terms=4000).r == a1d4[t], t
-            assert sg.siegel_r("A5", t, terms=4000).r == a5[t], t
+            assert sg.siegel_r("S5", t).r == int(r5[t]), t
+            assert sg.siegel_r("A1D4", t).r == a1d4[t], t
+            assert sg.siegel_r("A5", t).r == a5[t], t
 
 
 def test_criterion_06_local_density_oracle():
@@ -217,7 +217,7 @@ def test_criterion_11_analytic_bounds():
         # the cap is attained exactly at delta = 1, so compare the certified
         # lower end of the enclosure and keep the enclosure tight
         for delta in (1, 5, 8, 12, 24, 40, 60, 105 * 4):
-            lo, hi = sg.zagier_L_numeric(2, delta, terms=20000)
+            lo, hi = sg.zagier_L_numeric(delta, terms=20000)
             assert lo * float(15 / PI_SQ_HI) <= 2.5 + 1e-9, delta
             assert hi - lo < 0.05, delta
 

@@ -181,6 +181,22 @@ def test_refused_theta_keeps_cache_records(tmp_path, capsys):
     assert qs.load_theta_cache(cache) == after
 
 
+def test_refused_cache_file_is_left_untouched(tmp_path, capsys):
+    # a store into a file the loader refuses would drop the intact records
+    cache = tmp_path / "theta.cache"
+    for lattice in ("D6", "A5"):
+        code, _, _ = run_cli(capsys, "--cache", str(cache), "theta", "--lattice", lattice, "--prec", "4", "--method", "enum")
+        assert code == 0
+    text = cache.read_text()
+    assert "\n30\n" in text  # the A5 record's first shell
+    cache.write_text(text.replace("\n30\n", "\n31\n", 1))
+    corrupt = cache.read_bytes()
+    code, out, err = run_cli(capsys, "--cache", str(cache), "theta", "--lattice", "D4", "--prec", "4", "--method", "enum")
+    assert code == 0 and json.loads(out)["result"]["coefficients"] == [1, 24, 24, 96]
+    assert "leaving cache unchanged" in err
+    assert cache.read_bytes() == corrupt
+
+
 def test_bad_input_exit_code_under_optimize():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

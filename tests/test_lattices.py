@@ -530,6 +530,13 @@ def test_rep_count_refuses_indefinite_at_every_norm():
                     lt.rep_count(L, n, method=method)
 
 
+def test_counts_refuse_unknown_methods():
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        lt.theta_counts(lt.A(2), 3, method="bogus")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        lt.rep_count(lt.A(2), 2, method="bogus")
+
+
 def test_is_isometric_past_int64():
     # a badly reduced basis of A2: the norm-2 vectors have coordinates near
     # 3e9 and the Gram entries pass 2^63, so the search runs on Python ints

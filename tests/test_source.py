@@ -49,6 +49,18 @@ def test_one_counting_kernel():
     assert owners == {"_coordinate_counts"}
 
 
+def test_one_p_adic_counting_route():
+    # every p-adic count runs through the memo `_form_counts`; a second
+    # caller of `_block_counts` would be a second route to keep in step
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(fn, ast.FunctionDef) and fn.name != "_block_counts":
+                if "_block_counts" in {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)}:
+                    callers.add(f"{path.name}:{fn.name}")
+    assert callers == {"siegel.py:_form_counts"}
+
+
 def test_one_matrix_product():
     # every integer matrix product, and so every congruence u^T g u, runs
     # through `lattices._mat_mul`; a second product loop would be a second
@@ -103,7 +115,7 @@ def test_density_oracle_names_no_closed_form():
     def names(fn):
         return {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)} - {None}
 
-    roots = ("local_density_oracle", "oracle_alpha", "_joint_counts", "_form_counts", "_block_counts", "_block_distribution", "_square_classes", "_class_constants")
+    roots = ("local_density_oracle", "oracle_alpha", "_form_counts", "_block_counts", "_block_distribution", "_square_classes", "_class_constants")
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
