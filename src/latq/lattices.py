@@ -1,12 +1,12 @@
 """Exact integral-lattice arithmetic.
 
 Lattices are given by integer Gram matrices in a fixed basis.  Everything in
-this module works over exact integers / rationals: determinants use Bareiss
-elimination, short vectors come from one integer Fincke-Pohst walk over an
-LDL^T decomposition whose denominators are cleared once (level by level on
-arrays), kernels and discriminant groups use integer normal forms.  No
-floating point enters any decision path: the walk's float square roots are
-corrected to exact integer ones.
+this module works over exact integers / rationals: determinants and the
+LDL^T decomposition use fraction-free Bareiss elimination, short vectors come
+from one integer Fincke-Pohst walk over that decomposition, its denominators
+cleared once (level by level on arrays), kernels and discriminant groups use
+integer normal forms.  No floating point enters any decision path: the
+walk's float square roots are corrected to exact integer ones.
 
 Vector counts of the standard root lattices come from Z^k coordinate models
 (one dynamic-programming kernel, one exact convolution).  A model is chosen
@@ -326,27 +326,37 @@ def _cholesky(gram):
     """Integers (s, w, m, c) with
     s * x^T G x = sum_i w_i (m_i x_i + sum_{j>i} c_ij x_j)^2,  s, w_i, m_i > 0.
 
-    The rational LDL^T form x^T G x = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2
-    is computed once; m_i clears the denominators of the row u_i and s those
-    of every d_i / m_i^2.  c[i] holds c_ij for j > i only.  Raises ValueError
-    unless G is positive definite.
+    They clear the denominators of the rational LDL^T form
+    x^T G x = sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2, read off fraction-free
+    Bareiss elimination of the upper triangle of G: row i of the eliminated
+    matrix starts with the leading principal minor D_i of size i + 1, and
+    d_i = D_i / D_{i-1} (D_{-1} = 1), u_ij = b_ij / D_i.  m_i is the least
+    common denominator of the row u_i, and s that of every d_i / m_i^2.
+    c[i] holds c_ij = m_i u_ij for j > i only.  Raises ValueError at the
+    first minor D_i <= 0, so by Sylvester's criterion exactly when G is not
+    positive definite, and AssertionError unless s G = U^T diag(w) U for the
+    upper triangular U with diagonal m and c above it.
     """
     n = len(gram)
-    q = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if q[i][i] <= 0:
+    b = [[int(x) for x in row] for row in gram]
+    prev = 1
+    for k in range(n):
+        piv = b[k][k]
+        if piv <= 0:
             raise ValueError("not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] = q[k][l] - q[k][i] * q[i][l]
-                q[l][k] = q[k][l]
-    m = [lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    s = lcm(*((q[i][i] / m[i] ** 2).denominator for i in range(n)))
-    w = tuple(int(s * q[i][i] / m[i] ** 2) for i in range(n))
-    c = tuple(tuple(int(m[i] * q[i][j]) for j in range(i + 1, n)) for i in range(n))
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                b[i][j] = (b[i][j] * piv - b[k][i] * b[k][j]) // prev
+        prev = piv
+    minors = [1] + [b[i][i] for i in range(n)]
+    m = [lcm(*(b[i][i] // gcd(b[i][i], b[i][j]) for j in range(i + 1, n))) for i in range(n)]
+    dens = [minors[i] * m[i] ** 2 for i in range(n)]
+    s = lcm(*(den // gcd(den, b[i][i]) for i, den in enumerate(dens)))
+    w = tuple(s * b[i][i] // den for i, den in enumerate(dens))
+    c = tuple(tuple(m[i] * b[i][j] // b[i][i] for j in range(i + 1, n)) for i in range(n))
+    u = [[0] * i + [m[i], *c[i]] for i in range(n)]
+    if _mat_mul(list(zip(*u)), [[wi * x for x in row] for wi, row in zip(w, u)]) != [[s * x for x in row] for row in gram]:
+        raise AssertionError("LDL^T data do not reproduce the Gram matrix")
     return s, w, tuple(m), c
 
 
@@ -810,10 +820,40 @@ def _search_order(gram) -> list:
     return order
 
 
+@lru_cache(maxsize=64)
+def _norm_pools(L: GramLattice, norms: tuple):
+    """(dtype, pools, images) for the isometry search into L: for each n in
+    the sorted tuple ``norms``, pools[n] holds L's vectors of norm n as rows
+    in lexicographic order and images[n] the rows G w of the same vectors.
+
+    int64 holds every partial sum of the inner products the search takes
+    with these rows unless the entries are huge; then the arrays hold Python
+    integers.  A pool may be empty.  The arrays are read-only, since every
+    caller shares them.
+    """
+    import numpy as np
+
+    rows, found = _short_vectors(L, norms[-1])
+    pools = {n: rows[found == n] for n in norms}
+    big = max(abs(x) for row in L.gram for x in row) * max((_max_abs(p) for p in pools.values() if p.size), default=0) ** 2
+    dtype = np.int64 if L.rank * L.rank * big <= _INT64_MAX else object
+    g = np.array(L.gram, dtype=dtype)
+    pools = {n: p[np.lexsort(p.T[::-1])].astype(dtype) for n, p in pools.items()}
+    images = {n: p @ g for n, p in pools.items()}
+    for arr in (*pools.values(), *images.values()):
+        arr.flags.writeable = False
+    return dtype, pools, images
+
+
 def is_isometric(L1: GramLattice, L2: GramLattice) -> bool:
     """Backtracking isometry test for positive-definite lattices of rank
     <= ISOMETRY_MAX_RANK: the images of L1's basis vectors, placed in
-    ``_search_order``, are drawn from L2's vectors of the same norm."""
+    ``_search_order``, are drawn in lexicographic order from L2's vectors of
+    the same norm.  Those pools and their images under L2's Gram matrix come
+    from ``_norm_pools``, built once per (L2, norms) and shared by every test
+    into L2 from a lattice with the same set of basis norms; L1 is only
+    walked to count its vectors of each basis norm, which must match the
+    pool sizes."""
     import numpy as np
 
     if L1.rank != L2.rank:
@@ -824,23 +864,14 @@ def is_isometric(L1: GramLattice, L2: GramLattice) -> bool:
         return False
     if not (L1.is_positive_definite and L2.is_positive_definite):
         raise ValueError("is_isometric expects positive-definite lattices")
-    norms = sorted({L1.gram[i][i] for i in range(L1.rank)})
+    norms = tuple(sorted({L1.gram[i][i] for i in range(L1.rank)}))
     found = _short_vectors(L1, norms[-1], coords=False)[1]
-    rows, norms2 = _short_vectors(L2, norms[-1])
-    pools = {n: rows[norms2 == n] for n in norms}
+    dtype, pools, images = _norm_pools(L2, norms)
     if any(len(pools[n]) != (found == n).sum() for n in norms):
         return False
     order = _search_order(L1.gram)
     g1 = [[L1.gram[a][b] for b in order] for a in order]
     rank = L1.rank
-    # int64 holds every partial sum of the inner products below unless the
-    # entries are huge; then the same arrays hold Python integers.  Each pool
-    # is searched in lexicographic order.
-    big = max(abs(x) for row in L2.gram for x in row) * max(_max_abs(p) for p in pools.values()) ** 2
-    dtype = np.int64 if rank * rank * big <= _INT64_MAX else object
-    g2 = np.array(L2.gram, dtype=dtype)
-    pools = {n: p[np.lexsort(p.T[::-1])].astype(dtype) for n, p in pools.items()}
-    images = {n: pools[n] @ g2 for n in norms}  # row k: G2 w_k
     chosen = np.zeros((rank, rank), dtype=dtype)
 
     def place(i):

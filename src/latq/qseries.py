@@ -323,10 +323,18 @@ def save_theta_cache(path, records):
 
 
 def load_theta_cache(path):
-    """Read a cache file; raises ValueError on a version, header or integrity mismatch."""
+    """Read a cache file; raises ValueError on a version, header or integrity mismatch.
+
+    An empty file (0 bytes, say one made by ``touch``) is a cache with no
+    records, so the first store fills it; any other file must start with
+    the version line.
+    """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    first = _CACHE_FIRST.fullmatch(lines[0]) if lines else None
+        text = fh.read()
+    if not text:
+        return {}
+    lines = text.splitlines()
+    first = _CACHE_FIRST.fullmatch(lines[0])
     if first is None:
         raise ValueError("unrecognized cache file version")
     records = {}

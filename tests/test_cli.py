@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from latq import cli
+from latq import lattices as lt
 from latq import qseries as qs
 
 
@@ -195,6 +196,28 @@ def test_refused_cache_file_is_left_untouched(tmp_path, capsys):
     assert code == 0 and json.loads(out)["result"]["coefficients"] == [1, 24, 24, 96]
     assert "leaving cache unchanged" in err
     assert cache.read_bytes() == corrupt
+
+
+def test_empty_cache_file_is_filled(tmp_path, capsys, monkeypatch):
+    # a file made by `touch` holds no records: the first run stores into it
+    # and the second reads its answer from it
+    argv = ("theta", "--lattice", "D4", "--prec", "3", "--method", "enum")
+    _, plain, _ = run_cli(capsys, *argv)
+    cache = tmp_path / "theta.cache"
+    cache.touch()
+    code, out1, err1 = run_cli(capsys, "--cache", str(cache), *argv)
+    assert code == 0 and out1 == plain and err1 == ""
+    assert qs.load_theta_cache(cache) == {("D4", 1, 3): [1, 24, 24]}
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("cache miss")
+
+    monkeypatch.setattr(lt, "theta_counts", no_walk)
+    code, out2, err2 = run_cli(capsys, "--cache", str(cache), *argv)
+    assert code == 0 and out2 == plain and err2 == ""
+    cache.write_text("\n")
+    with pytest.raises(ValueError, match="unrecognized cache file version"):
+        qs.load_theta_cache(cache)
 
 
 def test_bad_input_exit_code_under_optimize():

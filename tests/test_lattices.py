@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt, lcm, prod
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +552,104 @@ def test_is_isometric_with_huge_basis_norms():
     assert lt.enumerate_norm(L, 10**19) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     assert lt.rep_count(L, 10**19 - 1) == 0
     assert lt.is_isometric(L, L)
+
+
+def _ldl_reference(gram):
+    """`_cholesky` by rational LDL^T elimination, the reference the integer
+    Bareiss version must match tuple for tuple."""
+    n = len(gram)
+    q = [[Fraction(gram[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        if q[i][i] <= 0:
+            raise ValueError("not positive definite")
+        for j in range(i + 1, n):
+            q[j][i] = q[i][j]
+            q[i][j] = q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                q[k][l] = q[k][l] - q[k][i] * q[i][l]
+                q[l][k] = q[k][l]
+    m = [lcm(*(q[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    s = lcm(*((q[i][i] / m[i] ** 2).denominator for i in range(n)))
+    w = tuple(int(s * q[i][i] / m[i] ** 2) for i in range(n))
+    c = tuple(tuple(int(m[i] * q[i][j]) for j in range(i + 1, n)) for i in range(n))
+    return s, w, tuple(m), c
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 7).flatmap(lambda n: st.lists(st.lists(st.integers(-(10**9), 10**9) | st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_cholesky_matches_rational_ldl(b):
+    # B^T B + 1 is positive definite; entries up to 10^9 put the LDL^T data
+    # past int64, where the walk runs on object arrays
+    n = len(b)
+    g = lt._freeze([[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)])
+    assert lt._cholesky.__wrapped__(g) == _ldl_reference(g)
+
+
+def test_cholesky_reaches_object_walk():
+    b = [[10**9, 3, -7], [1, 10**9, 5], [-2, 4, 10**9]]
+    g = lt._freeze([[sum(b[k][i] * b[k][j] for k in range(3)) + (i == j) for j in range(3)] for i in range(3)])
+    assert lt._cholesky.__wrapped__(g) == _ldl_reference(g)
+    assert lt._short_vectors(lt.GramLattice(g), 1, coords=False)[1].dtype == object
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        ((0, 1), (1, 2)),  # zero first pivot
+        ((1, 1, 0), (1, 1, 0), (0, 0, 1)),  # semidefinite
+        ((2, 1, 1), (1, 2, -1), (1, -1, 1)),  # minors 2, 3, -3
+    ],
+)
+def test_cholesky_refuses_at_first_bad_minor(gram):
+    for ldl in (lt._cholesky.__wrapped__, _ldl_reference):
+        with pytest.raises(ValueError, match="not positive definite"):
+            ldl(gram)
+
+
+def test_cholesky_checks_its_result(monkeypatch):
+    # with no denominators cleared the floor divisions round, and the
+    # product U^T diag(w) U no longer gives s G
+    monkeypatch.setattr(lt, "lcm", lambda *args: 1)
+    with pytest.raises(AssertionError, match="LDL"):
+        lt._cholesky.__wrapped__(lt.E7().gram)
+
+
+def _odd_twin(L):
+    """The odd lattice Z^(n-1) + <det L>: L's rank and determinant, other
+    counts of norm-2 vectors."""
+    return lt.GramLattice(tuple(tuple(int(i == j) * (L.det if i == j == L.rank - 1 else 1) for j in range(L.rank)) for i in range(L.rank)))
+
+
+@pytest.mark.parametrize("name, kind, target", [("E7", "root", "D6"), ("E7", "A2", "A5"), ("E8", "root", "E7"), ("D6", "root", "A1+D4")])
+def test_norm_pools_cache_keeps_answers(name, kind, target):
+    L = {"E7": lt.E7(), "E8": lt.E8(), "D6": lt.D(6)}[name]
+    configs = [(r,) for r in weyl.positive_roots(L)] if kind == "root" else [t[:2] for t in weyl.a2_sublattices(L)]
+    comps = [lt.orthogonal_complement(L, vecs) for vecs in configs[:4]]
+    T = lt.standard_lattice(target)
+    twin = lt.GramLattice(T.gram, "twin")
+
+    def answers():
+        return [(lt.is_isometric(C, T), lt.is_isometric(C, twin), lt.is_isometric(C, _odd_twin(T))) for C in comps]
+
+    lt._norm_pools.cache_clear()
+    cold = answers()
+    assert cold == [(True, True, False)] * len(comps)
+    warm = answers()
+    assert lt._norm_pools.cache_info().hits >= 3 * len(comps)
+    lt._norm_pools.cache_clear()
+    assert cold == warm == answers()
+
+
+def test_norm_pools_may_be_empty():
+    # <1> + <4> has vectors of norm 1, <2> + <2> none: an empty pool
+    L1, L2 = lt.GramLattice(((1, 0), (0, 4))), lt.GramLattice(((2, 0), (0, 2)))
+    lt._norm_pools.cache_clear()
+    for _ in range(2):
+        assert not lt.is_isometric(L1, L2)
+    dtype, pools, images = lt._norm_pools(L2, (1, 4))
+    assert pools[1].shape == images[1].shape == (0, 2)
+    assert len(pools[4]) == 4 and not pools[4].flags.writeable
 
 
 # sha256 over the complements of every root line (its positive root) or every

@@ -18,11 +18,12 @@ def test_cross_checks_survive_optimised_mode():
 
 
 def test_short_vector_walk_is_integer():
-    # the Fincke-Pohst walk runs on the integer data of `_cholesky`; a
-    # Fraction here would bring back the rational walk it replaced
+    # the Fincke-Pohst walk runs on the integer data of `_cholesky`, which
+    # come from Bareiss minors; a Fraction in either would bring back the
+    # rational walk or the rational LDL^T they replaced
     tree = ast.parse((SRC / "lattices.py").read_text())
-    walks = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in ("_short_vectors", "enumerate_norm")]
-    assert len(walks) == 2
+    walks = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in ("_short_vectors", "enumerate_norm", "_cholesky")]
+    assert len(walks) == 3
     for fn in walks:
         assert "Fraction" not in {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)}
 
