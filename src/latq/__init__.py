@@ -50,6 +50,8 @@ _EXPORTS = {
             "span",
             "standard_lattice",
             "theta_counts",
+            "theta_e7",
+            "theta_e8",
         ),
         "lattices",
     ),

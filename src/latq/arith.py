@@ -1,8 +1,12 @@
-"""The one factorisation and the one p-adic valuation in latq.
+"""The one factorisation, the one p-adic valuation and the one exact
+truncated product of coefficient lists in latq.
 
-`siegel` and `polarisation` import them by name.  The module imports
-nothing, so a process that only needs a factorisation (the polarisation
-subcommands) loads neither `siegel` nor `lattices`.
+`siegel` and `polarisation` import the first two by name; `qseries` and
+`lattices` multiply their theta series and counting models with the third.
+The module imports nothing, so a process that only needs a factorisation
+(the polarisation subcommands) loads neither `siegel` nor `lattices`, and
+one that only multiplies q-series (`theta --method closed`, `inequality`)
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -38,3 +42,34 @@ def _factor(n: int):
         step = 2
     if n > 1:
         yield n, 1
+
+
+def _mul_trunc(a, b, n: int) -> list:
+    """The first n coefficients of the product of the Python-int coefficient
+    lists a and b, exact at any size (Kronecker substitution).
+
+    Each list is packed into one integer, its coefficients in slots of w
+    bytes, and the two integers are multiplied once.  Every coefficient c of
+    the product has |c| <= min(max|a| * sum|b|, sum|a| * max|b|) < 2^(8w-1),
+    so adding 2^(8w-1) to every slot makes all of them nonnegative: that
+    bias absorbs the signed borrow between slots, and each slot is read back
+    on its own by `int.from_bytes`.
+    """
+    if n < 0:
+        raise ValueError("the number of coefficients must be nonnegative")
+    a, b = a[:n], b[:n]
+    bound = min(max(map(abs, a), default=0) * sum(map(abs, b)), sum(map(abs, a)) * max(map(abs, b), default=0))
+    if bound == 0:
+        return [0] * n
+    w = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    slot = half.to_bytes(w, "little")
+
+    def pack(c):
+        raw = b"".join((x + half).to_bytes(w, "little") for x in c)
+        return int.from_bytes(raw, "little") - int.from_bytes(slot * len(c), "little")
+
+    k = min(n, len(a) + len(b) - 1)
+    low = (pack(a) * pack(b) + int.from_bytes(slot * k, "little")) & ((1 << (8 * w * k)) - 1)
+    raw = low.to_bytes(w * k, "little")
+    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * k, w)] + [0] * (n - k)

@@ -23,8 +23,8 @@ four-subsets through coordinate 0 by one matrix product), the class size
 searched: one candidate per class (its minimum, then the rest in descending
 order) instead of 8!, narrowed column by column to the lex-min.
 Each shell is cached as one compact int16 class array with its root counts,
-and every shell size is checked against the independent DP count
-`counts_e7`.
+and every shell size is checked against the coefficient of the closed theta
+identity `theta_e7`, which shares no code with the enumeration.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .lattices import E7, E7_SIMPLE_DOUBLED, _isqrt, counts_e7
+from .lattices import E7, E7_SIMPLE_DOUBLED, _isqrt, theta_e7
 
 __all__ = [
     "WITNESS_TABLE",
@@ -277,7 +277,7 @@ def _shell_classes(d: int):
         shell += int(sizes.sum())
         classes.append(z.astype(np.int16))
         counts.append(n.astype(np.int16))
-    expected = counts_e7(d + 1)[d]
+    expected = theta_e7(d + 1)[d]
     if shell != expected:
         raise AssertionError(f"shell size mismatch at d={d}: {shell} vs {expected}")
     return shell, np.concatenate(classes), np.concatenate(counts)

@@ -9,10 +9,12 @@ integer normal forms.  No floating point enters any decision path: the
 walk's float square roots are corrected to exact integer ones.
 
 Vector counts of the standard root lattices come from Z^k coordinate models
-(one dynamic-programming kernel, one exact convolution).  A model is chosen
-by structure: the lattice's label must rebuild its Gram matrix exactly.  The
-counts leave int64 for Python integers before they could overflow, so they
-are exact at any size.
+(one dynamic-programming kernel; direct sums multiply their counts with the
+exact product `arith._mul_trunc`).  A model is chosen by structure: the
+lattice's label must rebuild its Gram matrix exactly.  The counts leave
+int64 for Python integers before they could overflow, so they are exact at
+any size.  The theta series of E7 and E8 also have closed forms here,
+from classical identities that share no code with the models.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
+
+from .arith import _mul_trunc
 
 __all__ = [
     "GramLattice",
@@ -44,6 +48,8 @@ __all__ = [
     "rep_count",
     "roots",
     "theta_counts",
+    "theta_e7",
+    "theta_e8",
     "orthogonal_complement",
     "is_isometric",
     "reflection",
@@ -535,8 +541,8 @@ def _model_counts(L: GramLattice, prec: int):
         c = _atom_counts(part, prec)
         if c is None:
             return None
-        acc = _convolve_exact(acc, c)[:prec]
-    return tuple(int(x) for x in acc)
+        acc = _mul_trunc(acc, c, prec)
+    return tuple(acc)
 
 
 def _atom_counts(label: str, prec: int):
@@ -567,23 +573,6 @@ _INT64_MAX = 2**63 - 1
 
 def _max_abs(arr) -> int:
     return max(abs(int(arr.max())), abs(int(arr.min())))
-
-
-def _convolve_exact(a, b) -> np.ndarray:
-    """Full linear convolution of two integer sequences, exact at any size.
-
-    int64 arithmetic is used only when max|a| * max|b| * min(len a, len b)
-    bounds every partial sum below 2^63; otherwise the product runs on
-    Python integers (object arrays).
-    """
-    import numpy as np
-
-    # Python-int lists go through object arrays: np.asarray would silently
-    # turn entries past int64 into floats
-    a, b = (x if isinstance(x, np.ndarray) else np.array(x, dtype=object) for x in (a, b))
-    if _max_abs(a) * _max_abs(b) * min(len(a), len(b)) <= _INT64_MAX:
-        return np.convolve(a.astype(np.int64), b.astype(np.int64))
-    return np.convolve(a.astype(object), b.astype(object))
 
 
 def _coordinate_counts(steps, n_coords: int, rows: int, modulus: int):
@@ -676,6 +665,52 @@ def _e7_table(prec: int) -> tuple:
         for m in range(1, prec):
             out[m] += int(col[m - 1])
     return tuple(out)
+
+
+# -- closed theta series of E7 and E8 ---------------------------------------
+# Classical identities (Conway & Sloane, SPLAG, ch. 4), written with exponent
+# m for norm 2m.  They share no code with the coordinate models, the walk or
+# the E7 shell search, so those counts and these series certify each other.
+
+
+def theta_e7(prec: int):
+    """c[m] = N_{E7}(2m) from Theta_E7 = theta3(2t)^7 + 7 theta3(2t)^3 theta2(2t)^4.
+
+    Like `counts_e7`, the list is sliced from one cached table built to the
+    next power of two at or above prec.
+    """
+    _check_prec(prec)
+    return list(_theta_e7_table(1 << (prec - 1).bit_length())[:prec])
+
+
+@lru_cache(maxsize=None)
+def _theta_e7_table(prec: int) -> tuple:
+    """theta_e7 up to prec: theta3(2t) = sum_n q^(n^2) and
+    theta2(2t)^4 = q (sum_n q^(n(n+1)))^4, the sums over all n in Z, in six
+    truncated products."""
+    t3 = [0] * prec
+    t2 = [0] * prec
+    for n in range(isqrt(prec - 1) + 1):
+        t3[n * n] = 2 if n else 1
+        if n * (n + 1) < prec:
+            t2[n * (n + 1)] = 2
+    t3_2 = _mul_trunc(t3, t3, prec)
+    t3_3 = _mul_trunc(t3_2, t3, prec)
+    t3_7 = _mul_trunc(_mul_trunc(t3_2, t3_2, prec), t3_3, prec)
+    t2_2 = _mul_trunc(t2, t2, prec)
+    t2_4 = [0] + _mul_trunc(t2_2, t2_2, prec - 1)
+    return tuple(x + 7 * y for x, y in zip(t3_7, _mul_trunc(t3_3, t2_4, prec)))
+
+
+def theta_e8(prec: int):
+    """c[m] = N_{E8}(2m) from Theta_E8 = E_4 = 1 + 240 sum_{m >= 1} sigma_3(m) q^m,
+    the divisor sums by one sieve."""
+    _check_prec(prec)
+    sigma3 = [0] * prec
+    for d in range(1, prec):
+        for m in range(d, prec, d):
+            sigma3[m] += d**3
+    return [1] + [240 * s for s in sigma3[1:]]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from functools import lru_cache
 from math import lcm
 from typing import TYPE_CHECKING
 
+from .arith import _mul_trunc
+
 if TYPE_CHECKING:
     from .lattices import GramLattice
 
@@ -87,15 +89,7 @@ class QSeries:
         if isinstance(other, int):
             return QSeries(self.grid, self.prec, tuple(other * c for c in self.coeffs))
         a, b = self._common(other)
-        n = a.units
-        out = [0] * n
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j in range(n - i):
-                    bj = b.coeffs[j]
-                    if bj:
-                        out[i + j] = out[i + j] + ai * bj
-        return QSeries(a.grid, a.prec, tuple(out))
+        return QSeries(a.grid, a.prec, tuple(_mul_trunc(a.coeffs, b.coeffs, a.units)))
 
     __rmul__ = __mul__
 
@@ -245,17 +239,28 @@ def theta_A(n: int, prec: int = DEFAULT_PREC) -> QSeries:
 
 
 def _divide_exact(num: QSeries, den: QSeries) -> QSeries:
-    """num / den for integer series whose quotient must again be integral."""
+    """num / den for integer series whose quotient must again be integral.
+
+    Long division from the constant term: each quotient coefficient reads
+    only the nonzero divisor coefficients, so a sparse divisor (a theta
+    series) costs its number of terms per coefficient, not the precision.
+    """
     c0 = den.coeffs[0]
     if c0 == 0:
         raise ValueError("division by a series with zero constant term")
     n = min(num.units, den.units)
-    out = [0] * n
+    terms = [(i, c) for i, c in enumerate(den.coeffs[1:n], 1) if c]
+    out = []
     for k in range(n):
-        s = num.coeffs[k] - sum(den.coeffs[i] * out[k - i] for i in range(1, k + 1) if den.coeffs[i])
-        if s % c0:
+        s = num.coeffs[k]
+        for i, c in terms:
+            if i > k:
+                break
+            s -= c * out[k - i]
+        q, r = divmod(s, c0)
+        if r:
             raise ValueError("quotient is not integral")
-        out[k] = s // c0
+        out.append(q)
     return QSeries(num.grid, n // num.grid, tuple(out[: (n // num.grid) * num.grid]))
 
 

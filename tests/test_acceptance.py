@@ -70,7 +70,7 @@ def test_criterion_03_inequality_scan():
 
 
 def test_criterion_04_theta_cross_validation():
-    with _Timer(4, "closed-form theta series equal exhaustive counts through exponent 102"):
+    with _Timer(4, "closed-form theta series equal exhaustive counts: A5, D6, A1+D4 through exponent 102, E7 through 1023, E8 through 7"):
         assert list(qs.theta_A(5, 103).coeffs) == lt.theta_counts(lt.A(5), 103)
         assert list(qs.theta_D(6, 103).coeffs) == lt.theta_counts(lt.D(6), 103)
         a1d4 = lt.standard_lattice("A1+D4")
@@ -81,6 +81,10 @@ def test_criterion_04_theta_cross_validation():
         # nonnegativity and normalization
         for series in (qs.theta_A(5, 103), qs.theta_D(6, 103)):
             assert series.coeffs[0] == 1 and min(series.coeffs) >= 0
+        # E7 (the verdict's shell check) against the coordinate model below
+        # exponent 1024, E8 = E_4 against the walk
+        assert lt.theta_e7(1024) == lt.counts_e7(1024)
+        assert lt.theta_e8(8) == lt.theta_counts(lt.E8(), 8, method="fincke-pohst")
 
 
 def _five_square_counts(bound):

@@ -53,12 +53,17 @@ def test_theta_mismatch_exits_3(capsys, monkeypatch):
     assert code == cli.CROSSCHECK_FAILED
 
 
-def test_theta_closed_unavailable(capsys):
-    code, _, err = run_cli(capsys, "theta", "--lattice", "E7", "--prec", "3", "--method", "closed")
-    assert code == cli.USAGE_ERROR
-    code, out, _ = run_cli(capsys, "theta", "--lattice", "E7", "--prec", "3", "--method", "enum")
+@pytest.mark.parametrize("prec", [16, 64])
+def test_theta_e7_closed_form_agrees_with_enumeration(capsys, prec):
+    # the closed form and the coordinate model are cross-checked by `both`
+    code, out, _ = run_cli(capsys, "theta", "--lattice", "E7", "--prec", str(prec), "--method", "both")
     assert code == 0
-    assert json.loads(out)["result"]["coefficients"] == [1, 126, 756]
+    both = json.loads(out)["result"]["coefficients"]
+    assert both[:3] == [1, 126, 756] and len(both) == prec
+    for method in ("closed", "enum"):
+        code, out, _ = run_cli(capsys, "theta", "--lattice", "E7", "--prec", str(prec), "--method", method)
+        assert code == 0
+        assert json.loads(out)["result"]["coefficients"] == both
 
 
 def test_siegel_report_rationals_are_strings(capsys):

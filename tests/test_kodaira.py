@@ -120,6 +120,49 @@ def test_search_and_verdict_digest():
     assert digest.hexdigest() == "d1eeca1924c9cbc54e2774e5f6b586eddde1a4576fed505c868bd76dc51c15e1"
 
 
+# sha256 of repr(search(d)) + repr(verdict(d)), as computed while the shell
+# sizes were still checked against counts_e7: degrees on both sides of the
+# power-of-two table sizes, and d = 800
+LARGE_DEGREE_SHA256 = {
+    127: "340b00b4b7c9ffd74a6c9604e2e650400fa8dfee58f670746e93bc0b3841938d",
+    128: "1c1ac7cf06075eda1a37c22e732ec8288a53c6412f12dd3027c0fcb6bf72286c",
+    255: "b00528d02e65358a0d82a720cf07e0b2fdea9226937404014278532fdfe0be0a",
+    256: "792e1030e7b9ff6156edc906b045312e946fddf183aced6e337298d5d94936e1",
+    400: "defd584f7ae739aa81f43ec1a3365847ab0fdce2882304ca2c2e5918dbce01eb",
+    511: "dc022778b8b2b1e345e4e9365d9ac9a13fa59f4d41386c75e6f020e354da8275",
+    512: "f1a59fc2b6e810a8e0afb720ded6c6d45c2d94760d83088f834edf38e3768001",
+    800: "04ed765e54b3c55df8496ff084620d5c517b6ffae01eaba14e6970c697d1b7f2",
+}
+
+
+def test_large_degree_search_and_verdict_pinned():
+    got = {d: hashlib.sha256((repr(ko.search(d)) + repr(ko.verdict(d))).encode()).hexdigest() for d in LARGE_DEGREE_SHA256}
+    assert got == LARGE_DEGREE_SHA256
+
+
+@pytest.mark.parametrize("d", [1, 12, 127, 200])
+def test_shell_check_catches_one_wrong_theta_coefficient(monkeypatch, d):
+    table = list(lt.theta_e7(256))
+    table[d] += 1
+    monkeypatch.setattr(lt, "_theta_e7_table", lambda prec: tuple(table))
+    with pytest.raises(AssertionError, match="shell size mismatch"):
+        ko._shell_classes.__wrapped__(d)
+
+
+def test_verdict_does_not_need_the_coordinate_model(monkeypatch):
+    # the shell check reads the closed theta identity; counts_e7 stays the
+    # independent count that certifies it (criterion 4)
+    def refuse(*args):
+        raise AssertionError("counts_e7 was called")
+
+    monkeypatch.setattr(lt, "counts_e7", refuse)
+    monkeypatch.setattr(lt, "_e7_table", refuse)
+    ko.search.cache_clear()
+    ko._shell_classes.cache_clear()
+    for d in range(1, 131):
+        ko.verdict(d)
+
+
 def test_search_small_degrees():
     res = ko.search(1)
     assert res.achievable == (60,)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from latq import lattices as lt
 from latq import qseries as qs
 from latq import weyl
+from latq.arith import _mul_trunc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -256,6 +257,7 @@ def test_counts_e7_matches_uncompressed_formula():
         assert _counts_e7_reference(p) == reference[:p]
     for p in range(1, 141):
         assert lt.counts_e7(p) == reference[:p]
+        assert lt.theta_e7(p) == reference[:p]
 
 
 def test_counts_e7_digest():
@@ -281,7 +283,7 @@ def test_counts_e7_slices_agree_in_any_order(calls):
 
 def test_counting_models_refuse_nonpositive_prec():
     for prec in (0, -1):
-        for count in (lt.counts_e7, lambda p: lt.counts_sum_zero(8, p), lambda p: lt.counts_even_sum(6, p)):
+        for count in (lt.counts_e7, lt.theta_e7, lt.theta_e8, lambda p: lt.counts_sum_zero(8, p), lambda p: lt.counts_even_sum(6, p)):
             with pytest.raises(ValueError, match="prec must be positive"):
                 count(prec)
 
@@ -316,7 +318,32 @@ _int_lists = st.integers(0, 62).flatmap(lambda bits: st.lists(st.integers(-(2**b
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_int_lists, _int_lists)
 def test_convolve_exact_matches_naive(a, b):
-    assert [int(x) for x in lt._convolve_exact(a, b)] == _naive_convolution(a, b)
+    # the full product, as the counting models' convolution once returned it
+    assert _mul_trunc(a, b, len(a) + len(b) - 1) == _naive_convolution(a, b)
+
+
+# signed entries far past 2^63, lists of zeros, and empty lists
+_coefficient_lists = st.one_of(
+    st.integers(0, 200).flatmap(lambda bits: st.lists(st.integers(-(2**bits), 2**bits), max_size=12)),
+    st.lists(st.just(0), max_size=12),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_coefficient_lists, _coefficient_lists, st.integers(0, 30))
+def test_mul_trunc_matches_naive(a, b, n):
+    # n runs past len(a) + len(b) - 1, where the product has only zeros
+    naive = [0] * n
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                naive[i + j] += x * y
+    assert _mul_trunc(a, b, n) == naive
+
+
+def test_mul_trunc_refuses_negative_length():
+    with pytest.raises(ValueError):
+        _mul_trunc([1], [1], -1)
 
 
 def test_det_is_computed_once(monkeypatch):

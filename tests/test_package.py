@@ -62,9 +62,10 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "latq": sorted(
         ["index", "--t", "6", "--d", "5", "--f", "1"],
         ["inequality", "--coeff", "5", "--m-max", "40"],
         ["theta", "--lattice", "A5", "--prec", "16", "--method", "closed"],
+        ["theta", "--lattice", "E7", "--prec", "16", "--method", "closed"],
         ["theta", "--lattice", "D6", "--prec", "8", "--method", "enum", "--cache", "CACHE"],
     ],
-    ids=lambda argv: " ".join(argv[:1] + [a for a in argv if a in ("--sweep", "closed", "--cache")]),
+    ids=lambda argv: " ".join(argv[:1] + [a for a in argv if a in ("E7", "--sweep", "closed", "--cache")]),
 )
 def test_numpy_free_subcommands_do_not_load_numpy(tmp_path, argv):
     cache = tmp_path / "theta.cache"

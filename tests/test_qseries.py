@@ -53,6 +53,8 @@ _CLOSED_SHA256 = {
     "D4": "9abb3b7fb2314ca41cc4defc83e687b5322c26ffdf2d207f892b10b27b4f7c1b",
     "D6": "97a3dc66b0456f18321f37fe69cced13feb97a8159b7c388521303c27ee6dfc3",
     "A1D4": "f95257a757defb29cb057a51ac803e12dd1dd6be0340f05cfb61b5aba30411a9",
+    # theta_counts(E7, 128) from the coordinate model, before E7 had a closed form
+    "E7": "4041d3104974d2eba26f9a5cb5d2daec34e8811d1c2f478f60213c31c5e49557",
 }
 
 
