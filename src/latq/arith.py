@@ -5,8 +5,8 @@ truncated product of coefficient lists in latq.
 `lattices` multiply their theta series and counting models with the third.
 The module imports nothing, so a process that only needs a factorisation
 (the polarisation subcommands) loads neither `siegel` nor `lattices`, and
-one that only multiplies q-series (`theta --method closed`, `inequality`)
-loads no numpy.
+one that multiplies q-series or coordinate-model counts (`theta`,
+`inequality`, `repcount` on a model lattice) loads no numpy.
 """
 
 from __future__ import annotations

@@ -470,9 +470,9 @@ def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
     by its Gram matrix, the standard construction its label names (A_n, D_n,
     E7, even <k> and their direct sums), and Fincke-Pohst otherwise;
     ``method='fincke-pohst'`` forces the generic walk, which counts norms
-    without building the vectors.  Counts are exact Python integers, also
-    past int64.  A lattice that is not positive definite is refused at every
-    n, n = 0 included.
+    without building the vectors; only the walk loads numpy.  Counts are
+    exact Python integers, also past int64.  A lattice that is not positive
+    definite is refused at every n, n = 0 included.
     """
     if n < 0:
         raise ValueError("norm must be nonnegative")
@@ -499,9 +499,9 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
 
     This is the coefficient list of the theta series on the integer exponent
     grid, obtained by exhaustive counting: dynamic programming over a Z^k
-    coordinate model when the Gram matrix is that of the standard
-    construction the label names, otherwise the Fincke-Pohst walk, whose
-    norms are counted by np.bincount without building the vectors.
+    coordinate model, without numpy, when the Gram matrix is that of the
+    standard construction the label names, otherwise the Fincke-Pohst walk,
+    whose norms are counted by np.bincount without building the vectors.
     Coefficients are exact Python integers, also past int64.
     """
     if not L.is_even:
@@ -580,31 +580,30 @@ def _coordinate_counts(steps, n_coords: int, rows: int, modulus: int):
     s and whose residues add up to 0 mod modulus, for 0 <= s < rows.
 
     Each step is a pair (row shift, residue) with 0 <= shift < rows.  The
-    table is indexed by (row, residue sum mod modulus); one step shifts it by
-    (shift, residue), a cyclic shift being two slice-adds.  The last
-    coordinate feeds only the column where the residue sum is = 0.  A pass
-    adds at most len(steps) entries into each cell, so the table leaves
-    int64 for Python integers before a pass whose sums could pass 2^63.
+    table holds one Python integer per residue class, the count at row s in
+    slot s of b bits (Kronecker substitution); a step masks off the slots it
+    would push past rows, shifts and adds, steps of equal shift (v and -v)
+    sharing the shifted integer.  A cell counts tuples of steps, so it is at
+    most len(steps)^n_coords < 2^b: no slot carries into the next, and the
+    counts are exact at any size.  The last coordinate feeds only the class
+    where the residue sum is = 0.
     """
-    import numpy as np
-
-    table = np.zeros((rows, modulus), dtype=np.int64)
-    table[0, 0] = 1
-    for k in range(n_coords):
-        if table.dtype != object and int(table.max()) * len(steps) > _INT64_MAX:
-            table = table.astype(object)
-        if k == n_coords - 1:
-            col = np.zeros(rows, dtype=table.dtype)
-            for sh, r in steps:
-                col[sh:] += table[: rows - sh, -r % modulus]
-            return col
-        new = np.zeros_like(table)
-        for sh, r in steps:
-            src = table[: rows - sh]
-            new[sh:, r:] += src[:, : modulus - r]
-            new[sh:, :r] += src[:, modulus - r :]
+    b = (len(steps) ** n_coords).bit_length() + 1
+    mask = (1 << (b * rows)) - 1
+    moves = [(b * sh, mask >> (b * sh), [r for t, r in steps if t == sh]) for sh in dict.fromkeys(sh for sh, _ in steps)]
+    table = [1] + [0] * (modulus - 1)
+    for _ in range(n_coords - 1):
+        new = [0] * modulus
+        for c, x in enumerate(table):
+            if x:
+                for s, low, residues in moves:
+                    y = (x & low) << s
+                    for r in residues:
+                        new[(c + r) % modulus] += y
         table = new
-    return table[:, 0]
+    col = sum((table[-r % modulus] & low) << s for s, low, rs in moves for r in rs) if n_coords else 1
+    slot = (1 << b) - 1
+    return [(col >> (b * s)) & slot for s in range(rows)]
 
 
 def _check_prec(prec: int):

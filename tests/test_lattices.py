@@ -221,10 +221,40 @@ def test_generic_theta_of_e8_is_the_eisenstein_series():
 
 
 def test_d24_counts_are_exact_past_int64():
-    # N_{D24}(76) = 11318878100909407680 > 2^63: the counting table must leave
-    # int64 before it wraps
+    # N_{D24}(76) = 11318878100909407680 > 2^63: the counting table holds
+    # Python integers in slots wide enough for every count, so counts past
+    # int64 are exact by construction
     assert lt.theta_counts(lt.D(24), 300) == list(qs.theta_D(24, 300).coeffs)
     assert lt.rep_count(lt.D(24), 76) == 11318878100909407680
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(rows, modulus, steps): steps with repeats and any shift below rows."""
+    rows, modulus = draw(st.integers(1, 12)), draw(st.integers(1, 9))
+    steps = draw(st.lists(st.tuples(st.integers(0, rows - 1), st.integers(0, modulus - 1)), min_size=1, max_size=7))
+    return rows, modulus, steps
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_kernel_cases(), st.integers(0, 4))
+def test_coordinate_counts_match_brute_force(case, n_coords):
+    # every tuple of steps, repeats and zero shifts included, counted by hand
+    rows, modulus, steps = case
+    col = [0] * rows
+    for t in itertools.product(steps, repeat=n_coords):
+        s = sum(sh for sh, _ in t)
+        if s < rows and sum(r for _, r in t) % modulus == 0:
+            col[s] += 1
+    assert lt._coordinate_counts(steps, n_coords, rows, modulus) == col
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8])
+def test_coordinate_counts_saturated_slot(size):
+    # all steps (0, 0): row 0 counts every tuple, len(steps)^n_coords exactly,
+    # the most a slot holds; a slot one bit too narrow would lose it
+    for n_coords in range(1, 5):
+        assert lt._coordinate_counts([(0, 0)] * size, n_coords, 3, 2) == [size**n_coords, 0, 0]
 
 
 def test_counting_model_is_chosen_by_structure():
@@ -263,6 +293,13 @@ def test_counts_e7_matches_uncompressed_formula():
 def test_counts_e7_digest():
     digest = hashlib.sha256(repr(lt.counts_e7(256)).encode()).hexdigest()
     assert digest == "c24ccdc5dd5772ed55520abb01548cb9ef3155df823552f7d02fdeece6575cd9"
+
+
+def test_model_counts_digest():
+    # the coordinate models of every atom and a few sums, byte for byte
+    names = [f"A{n}" for n in range(1, 9)] + [f"D{n}" for n in range(2, 11)] + ["D24", "E7", "A1+D4", "A2+E7", "D4+D4"]
+    digest = hashlib.sha256(repr([(x, lt.theta_counts(lt.standard_lattice(x), 64)) for x in names]).encode()).hexdigest()
+    assert digest == "6d6f230f43821043494028ed91019cc61c1be6ea696d09ce092da3006396e061"
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -64,12 +64,19 @@ print(json.dumps({"code": code, "numpy": "numpy" in sys.modules, "latq": sorted(
         ["theta", "--lattice", "A5", "--prec", "16", "--method", "closed"],
         ["theta", "--lattice", "E7", "--prec", "16", "--method", "closed"],
         ["theta", "--lattice", "D6", "--prec", "8", "--method", "enum", "--cache", "CACHE"],
+        # the coordinate models count on Python integers, past int64 too
+        pytest.param(["repcount", "--lattice", "A8", "--norm", "76"], id="repcount A8"),
+        pytest.param(["repcount", "--lattice", "E7", "--norm", "76"], id="repcount E7"),
+        pytest.param(["repcount", "--lattice", "D24", "--norm", "76"], id="repcount D24"),
+        pytest.param(["theta", "--lattice", "E7", "--prec", "16", "--method", "enum", "--cache", "CACHE"], id="theta E7 enum cache miss"),
+        pytest.param(["theta", "--lattice", "A1D4", "--prec", "24", "--method", "both"], id="theta A1D4 both"),
     ],
     ids=lambda argv: " ".join(argv[:1] + [a for a in argv if a in ("E7", "--sweep", "closed", "--cache")]),
 )
 def test_numpy_free_subcommands_do_not_load_numpy(tmp_path, argv):
     cache = tmp_path / "theta.cache"
-    # a cache hit: the record is written here, so the child only reads it
+    # D6 is a cache hit: the record is written here, so the child only reads
+    # it; E7 is a miss, counted by its model in the child
     qs.save_theta_cache(cache, {("D6", 1, 8): lt.theta_counts(lt.D(6), 8)})
     got = _cold(_RUN_CLI, *[str(cache) if a == "CACHE" else a for a in argv])
     assert (got["code"], got["numpy"]) == (0, False)

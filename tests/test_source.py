@@ -37,17 +37,43 @@ def test_short_vector_walk_is_not_recursive():
     assert nested == [] and "_short_vectors" not in calls
 
 
+def _is_zero_table(node) -> bool:
+    """`[0] * n`, `[0 for ...]`, or a numpy zeros/zeros_like/full/full_like call."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return any(isinstance(side, ast.List) and [ast.unparse(e) for e in side.elts] == ["0"] for side in (node.left, node.right))
+    if isinstance(node, ast.ListComp):
+        return ast.unparse(node.elt) == "0"
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", getattr(node.func, "attr", None)) in ("zeros", "zeros_like", "full", "full_like")
+    return False
+
+
 def test_one_counting_kernel():
-    # every coordinate-model count runs through `_coordinate_counts`; another
-    # function allocating a DP table would be a second kernel to keep exact
+    # every coordinate-model count runs through `_coordinate_counts`.  A DP
+    # allocates a fresh zero table inside its loop over coordinates, in a
+    # list or in numpy; another function doing so would be a second kernel
+    # to keep exact
     tree = ast.parse((SRC / "lattices.py").read_text())
     owners = set()
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef):
-            for node in ast.walk(fn):
-                if getattr(node, "id", getattr(node, "attr", None)) == "zeros_like":
+            for loop in ast.walk(fn):
+                if isinstance(loop, (ast.For, ast.While)) and any(map(_is_zero_table, ast.walk(loop))):
                     owners.add(fn.name)
     assert owners == {"_coordinate_counts"}
+
+
+def test_counting_models_use_no_numpy():
+    # the models count on Python integers, so a cold `repcount` or theta
+    # cache miss loads no numpy; no int64/object switch can come back
+    tree = ast.parse((SRC / "lattices.py").read_text())
+    models = {"_coordinate_counts", "counts_sum_zero", "counts_even_sum", "_e7_table", "_model_counts", "_atom_counts"}
+    found = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in models]
+    assert {fn.name for fn in found} == models
+    for fn in found:
+        names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)}
+        names |= {alias.name for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert names.isdisjoint({"np", "numpy"}), fn.name
 
 
 def test_one_p_adic_counting_route():
