@@ -970,8 +970,10 @@ def reflection_orbits(L: GramLattice, objects, generators=None):
     Two steps: ``_canonical_members`` gives the distinct sign-normalized
     roots, in lexicographic order, and each object as the ascending tuple of
     its root indices; ``_orbit_partition`` closes those index tuples under
-    the generators.  ``weyl.orbit_summary`` enumerates index tuples directly
-    and hands them to the same closure.
+    the group of the generators, moving them by the product of all the
+    generators and by the generators it cannot show to lie in the group of
+    that product and the ones already kept.  ``weyl.orbit_summary``
+    enumerates index tuples directly and hands them to the same closure.
     """
     root_rows, members = _canonical_members(L, objects)
     count, sizes, reps = _orbit_partition(L, root_rows, members, generators)
@@ -1003,13 +1005,19 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
     reflections in ``generators`` (default as in ``reflection_orbits``).
 
     Returns (orbit_count, orbit_sizes, representatives) with each
-    representative given as a row index of ``members``.  Each object is
-    packed once into an int64 key in base len(root_rows), which orders
-    objects like their root tuples; each generator permutes the roots, so
-    sorting the moved keys and matching them to the sorted keys gives the
-    generator's permutation of the objects, or shows that the set is not
-    closed.  Labels then fall to the smallest object index of each orbit by
-    min-label propagation.
+    representative given as a row index of ``members``.  Every generator's
+    permutation of the roots is computed, which refuses isotropic and
+    non-integral generators and images outside the roots.  The objects are
+    then moved only by the generators that ``_kept_generators`` keeps, and,
+    when it drops any, by the product c of all the generators (a Coxeter
+    element when they are the simple roots) and by c^-1.  That set
+    generates the same group, so a finite set closed under it is closed
+    under the group.  Each object is packed once into an int64 key in base
+    len(root_rows), which orders objects like their root tuples; sorting the
+    moved keys and matching them to the sorted keys gives a move's
+    permutation of the objects, or shows that the set is not closed.  Labels
+    then fall to the smallest object index of each orbit by min-label
+    propagation.
     """
     import numpy as np
 
@@ -1018,7 +1026,7 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
         return 0, [], []
     base = len(root_rows)
     keys = _pack_rows(members, base)
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     sorted_keys = keys[order]
     if np.any(sorted_keys[1:] == sorted_keys[:-1]):
         raise ValueError("objects are not distinct after canonicalization")
@@ -1033,7 +1041,7 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
     big = max(abs(x) for row in L.gram for x in row) * max([_max_abs(root_rows), *(abs(int(x)) for r in generators for x in r)]) ** 3
     dtype = np.int64 if 2 * L.rank**2 * big < _INT64_MAX // 2 else object
     gram_np = np.array(L.gram, dtype=dtype)
-    moves = []  # per generator: index of each object's image
+    tos = []  # per generator: index of each root's image
     for r in generators:
         rv = np.array(r, dtype=dtype)
         gr = gram_np @ rv
@@ -1045,16 +1053,40 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
             raise ValueError("reflection image is not integral")
         images = _sign_normalize_rows(root_rows - (coeff // rr)[:, None] * rv)
         root_keys, image_keys = _pack_rows(np.stack([root_rows, images]))
-        to = _lookup(root_keys, image_keys)
-        moved = _pack_rows(np.sort(to[members], axis=1), base)
+        tos.append(_lookup(root_keys, image_keys))
+
+    def object_move(to):
+        # a min/max network over the columns sorts each moved object's root
+        # indices; ``keys`` showed that the packed moves fit int64
+        cols = [to[col] for col in members.T]
+        for last in range(len(cols) - 1, 0, -1):
+            for j in range(last):
+                cols[j], cols[j + 1] = np.minimum(cols[j], cols[j + 1]), np.maximum(cols[j], cols[j + 1])
+        moved = cols[0]
+        for col in cols[1:]:
+            moved = moved * base + col
         by_moved = np.argsort(moved)
         if not np.array_equal(moved[by_moved], sorted_keys):
             raise ValueError("object set is not closed under the reflection group")
         move = np.empty(count, dtype=np.intp)
         move[by_moved] = order
-        moves.append(move)
-    # each move is an involution, so a label that no move lowers is the
-    # smallest object index of its orbit; labels[labels] jumps along chains
+        return move
+
+    coxeter = np.arange(base)
+    for to in tos:
+        coxeter = to[coxeter]
+    line_of = {row: i for i, row in enumerate(map(tuple, root_rows.tolist()))}
+    lines = [line_of.get(_sign_normalize(tuple(int(x) for x in r)), -1) for r in generators]
+    kept = _kept_generators(coxeter, tos, lines)
+    moves = [object_move(tos[i]) for i in kept]
+    if len(kept) < len(tos):
+        move = object_move(coxeter)
+        back = np.empty(count, dtype=np.intp)
+        back[move] = np.arange(count)
+        moves += [move, back]
+    # the moves are closed under inverses (reflections are involutions), so a
+    # label that no move lowers is the smallest object index of its orbit;
+    # labels[labels] jumps along chains
     labels = np.arange(count)
     while True:
         new = labels
@@ -1064,13 +1096,48 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
         if np.array_equal(new, labels):
             break
         labels = new
-    firsts, orbit_of, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    firsts = np.flatnonzero(labels == np.arange(count))
+    sizes = np.bincount(labels)[firsts]
     rank_of = np.empty(count, dtype=np.int64)
     rank_of[order] = np.arange(count)
-    smallest = np.full(len(firsts), count)
-    np.minimum.at(smallest, orbit_of, rank_of)
+    smallest = np.full(count, count)
+    np.minimum.at(smallest, labels, rank_of)
     by_size = np.lexsort((firsts, -sizes))
-    return len(firsts), [int(sizes[o]) for o in by_size], [int(order[smallest[o]]) for o in by_size]
+    return len(firsts), sizes[by_size].tolist(), order[smallest[firsts[by_size]]].tolist()
+
+
+def _kept_generators(coxeter, tos, lines):
+    """Indices of the generators whose reflections, with the product c of
+    all of them (``coxeter``, a permutation of the root lines), generate the
+    group of all of them.
+
+    ``tos[i]`` is generator i's permutation of the root lines and
+    ``lines[i]`` its own line, or -1 when its vector is not one of the
+    sign-normalized roots.  Since w s_a w^-1 = s_{w(a)}, the group H of c and
+    the kept reflections holds the reflection in every line of the H-orbit
+    of a kept line.  Generators are taken in order: one whose line lies in
+    that orbit is dropped, any other is kept, and a kept line grows the
+    orbit again under c and the kept permutations.
+    """
+    import numpy as np
+
+    known = np.zeros(len(coxeter), dtype=bool)
+    kept = []
+    for i, line in enumerate(lines):
+        if line >= 0 and known[line]:
+            continue
+        kept.append(i)
+        if line < 0:
+            continue
+        known[line] = True
+        while True:
+            grown = known.copy()
+            for to in (coxeter, *(tos[k] for k in kept)):
+                grown[to[grown]] = True
+            if np.array_equal(grown, known):
+                break
+            known = grown
+    return kept
 
 
 def _sign_normalize_rows(rows):

@@ -14,8 +14,10 @@ with the third root found by a lookup of sign-normalized rows.  Each
 configuration is an ascending tuple of indices into the lexicographically
 ordered positive roots, which is its canonical form.  ``orbit_summary``
 hands those index arrays straight to the closure core of
-``lattices.reflection_orbits``; the public enumerators turn the same arrays
-into coordinate tuples.
+``lattices.reflection_orbits``, which moves them by a Coxeter element c of
+the simple reflections and by the few simple reflections whose lines c and
+the kept ones do not reach (one of E8's eight); the public enumerators turn
+the same arrays into coordinate tuples.
 """
 
 from __future__ import annotations
