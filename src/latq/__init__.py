@@ -94,7 +94,6 @@ _EXPORTS = {
             "alpha3_A5",
             "alpha_infinity",
             "alpha_regular",
-            "b_n",
             "cohen_H",
             "decompose_t",
             "discriminant_of",

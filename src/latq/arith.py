@@ -28,7 +28,7 @@ def _factor(n: int):
 
     Trial division by 2 and then by odd d with d^2 <= n; this is the only
     factorisation in latq.  The pairs come lazily, so a caller that stops
-    early (b_n on a zero local count) also stops the trial division.
+    early also stops the trial division.
     """
     if n < 1:
         raise ValueError("only a positive integer has a factorisation")

@@ -9,8 +9,9 @@ E7 = {x in Z^8 union (Z + 1/2)^8 : sum x_i = 0} whose vectors are doubled to
 integer 8-tuples of constant parity; permutation-symmetry classes (sorted
 tuples) cut the work by orders of magnitude without losing exhaustiveness.
 
-The classes are enumerated one coordinate at a time, every prefix of a
-shell at once as rows of one integer array.  Each value is bounded from
+The classes are enumerated one coordinate at a time as rows of integer
+arrays, depth first in blocks of at most ``lattices._BLOCK`` array entries,
+so memory holds one block per level.  Each value is bounded from
 both the remaining sum and the remaining sum of squares: the later
 coordinates are no smaller, so their squares can sum neither to less than
 when they are all equal nor to more than when all but one equal this value.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .lattices import E7, E7_SIMPLE_DOUBLED, _isqrt, theta_e7
+from .lattices import _BLOCK, E7, E7_SIMPLE_DOUBLED, _isqrt, _owners, theta_e7
 
 __all__ = [
     "WITNESS_TABLE",
@@ -145,8 +146,9 @@ def orthogonal_root_count(lam) -> int:
 # exhaustive shell search in the sum-zero model
 
 
-def _grow(prefix, parity, lo, s, q):
-    """Append every admissible next value to each prefix, in order.
+def _next_values(prefix, parity, lo, s, q):
+    """(start, n): every admissible next value of each prefix is one of
+    start, start + 2, ..., n of them.
 
     With k coordinates left that sum to s and whose squares sum to q, put
     D = k*q - s^2.  The next value v is the least of the k, so the other
@@ -167,15 +169,7 @@ def _grow(prefix, parity, lo, s, q):
     start = np.maximum(lo, -((t_max - s) // k))
     start += (start - parity) % 2
     # how many of start, start + 2, ... are <= (s - t_min) // k
-    n = np.maximum((s - t_min) // k - start, -2) // 2 + 1
-    row = np.repeat(np.arange(len(n)), n)
-    v = start[row] + 2 * (np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n))
-    return np.column_stack((prefix[row], v)), parity[row], v, s[row] - v, q[row] - v * v
-
-
-# five-coordinate prefixes completed per block: the last step tries about
-# eight values per class it finds, so blocks bound its arrays
-_BLOCK = 1 << 14
+    return start, np.maximum((s - t_min) // k - start, -2) // 2 + 1
 
 
 def _sorted_shells(total_sq: int):
@@ -183,8 +177,11 @@ def _sorted_shells(total_sq: int):
     z_i of one parity, as int64 arrays of rows: the even tuples, then the odd
     ones, each in lex order.
 
-    The tuples grow one coordinate at a time, all prefixes at once (`_grow`),
-    and the last two coordinates a <= b follow from (b - a)^2 = 2q - s^2.
+    The tuples grow one coordinate at a time (`_next_values`), and the last
+    two coordinates a <= b follow from (b - a)^2 = 2q - s^2.  A level's
+    prefixes are grown at most ``_BLOCK`` array entries at a time, and each
+    block is finished before the next is taken, so memory holds one block
+    per level besides the yielded rows.
     """
     import numpy as np
 
@@ -197,16 +194,44 @@ def _sorted_shells(total_sq: int):
         np.zeros(2, dtype=np.int64),
         np.full(2, total_sq),
     )
-    for _ in range(5):
-        state = _grow(*state)
-    for i in range(0, len(state[1]), _BLOCK):
-        prefix, parity, lo, s, q = _grow(*(part[i : i + _BLOCK] for part in state))
-        e = 2 * q - s * s
-        gap = _isqrt(np.maximum(e, 0))
-        a = (s - gap) // 2
-        # s is minus a sum of six values of one parity, so even, and a is exact
-        ok = (gap * gap == e) & (gap % 2 == 0) & (a >= lo) & (a % 2 == parity)
-        yield np.column_stack((prefix[ok], a[ok], a[ok] + gap[ok]))
+    # per level: its block of prefixes, the first next value of each less
+    # twice the number of earlier children, the number of next values, its
+    # running sum and total, and the children taken
+    stack = []
+    while True:
+        prefix, parity, lo, s, q = state
+        if prefix.shape[1] == 6:
+            e = 2 * q - s * s
+            gap = _isqrt(np.maximum(e, 0))
+            a = (s - gap) // 2
+            # s is minus a sum of six values of one parity, so even, and a is exact
+            ok = (gap * gap == e) & (gap % 2 == 0) & (a >= lo) & (a % 2 == parity)
+            yield np.column_stack((prefix[ok], a[ok], a[ok] + gap[ok]))
+        else:
+            start, n = _next_values(*state)
+            ends = np.cumsum(n)
+            if ends[-1]:
+                # the level's child k, owned by prefix p, takes the value base_p + 2k
+                stack.append([state, start - 2 * (ends - n), n, ends, int(ends[-1]), 0])
+        if not stack:
+            return
+        level = stack[-1]
+        state, base, n, ends, total, first = level
+        last = level[5] = min(total, first + max(1, _BLOCK // (state[0].shape[1] + 5)))
+        if last == total:
+            stack.pop()
+        if last - first < total:
+            part, n = _owners(n, ends, first, last)
+            state, base = tuple(x[part] for x in state), base[part]
+        prefix, parity, lo, s, q = state
+        v = np.repeat(base, n) + 2 * np.arange(first, last)
+        state = (
+            np.column_stack((np.repeat(prefix, n, axis=0), v)),
+            np.repeat(parity, n),
+            v,
+            np.repeat(s, n) - v,
+            np.repeat(q, n) - v * v,
+        )
 
 
 @lru_cache(maxsize=1)
@@ -291,29 +316,34 @@ def _lex_min_witness(classes) -> tuple:
     lambda_1 = (z_0 - z_1) / 2 is least when z_0 is the class minimum and z_1
     its maximum, and with z_0 fixed each later lambda_i falls as z_i grows:
     one candidate per class, its minimum followed by the rest in descending
-    order, instead of 8! permutations.
+    order, instead of 8! permutations.  The classes are read ``_BLOCK``
+    array entries at a time, and the least of the blocks' minima wins.
     """
     import numpy as np
 
-    z = np.sort(np.asarray(classes, dtype=np.int64).reshape(-1, 8), axis=1)
-    # all permutations lie in the lattice iff one parity and sum zero
-    if z.sum(axis=1).any() or (z % 2 != z[:, :1] % 2).any():
-        raise AssertionError("shell class left the lattice")
-    cand = z[:, [0, 7, 6, 5, 4, 3, 2, 1]]
-    # doubled_to_lambda on every candidate: a prefix sum along v_1..v_6
-    num = np.cumsum(cand[:, 1:7] - cand[:, :1] * np.array(E7_SIMPLE_DOUBLED[6][1:7]), axis=1)
-    if (num % 2).any():
-        raise AssertionError("odd simple-root numerator in a lattice class")
-    lam = np.column_stack((-num // 2, cand[:, 0]))
-    # lex-min row: narrow to the minimum of each column in turn
-    keep = np.arange(len(lam))
-    for col in range(7):
-        keep = keep[lam[keep, col] == lam[keep, col].min()]
-    best = tuple(lam[keep[0]].tolist())
+    classes, step, best = np.asarray(classes).reshape(-1, 8), max(1, _BLOCK // 8), None
+    for i in range(0, len(classes), step):
+        z = np.sort(classes[i : i + step].astype(np.int64), axis=1)
+        # all permutations lie in the lattice iff one parity and sum zero
+        if z.sum(axis=1).any() or (z % 2 != z[:, :1] % 2).any():
+            raise AssertionError("shell class left the lattice")
+        cand = z[:, [0, 7, 6, 5, 4, 3, 2, 1]]
+        # doubled_to_lambda on every candidate: a prefix sum along v_1..v_6
+        num = np.cumsum(cand[:, 1:7] - cand[:, :1] * np.array(E7_SIMPLE_DOUBLED[6][1:7]), axis=1)
+        if (num % 2).any():
+            raise AssertionError("odd simple-root numerator in a lattice class")
+        lam = np.column_stack((-num // 2, cand[:, 0]))
+        # lex-min row: narrow to the minimum of each column in turn
+        keep = np.arange(len(lam))
+        for col in range(7):
+            keep = keep[lam[keep, col] == lam[keep, col].min()]
+        row = tuple(lam[keep[0]].tolist())
+        if best is None or row < best[0]:
+            best = row, tuple(cand[keep[0]].tolist())
     # exact reconstruction check on the chosen witness
-    if doubled_to_lambda(tuple(cand[keep[0]].tolist())) != best:
+    if doubled_to_lambda(best[1]) != best[0]:
         raise AssertionError("witness does not round-trip through the doubled model")
-    return best
+    return best[0]
 
 
 @lru_cache(maxsize=128)

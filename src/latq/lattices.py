@@ -20,6 +20,7 @@ from classical identities that share no code with the models.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -409,20 +410,49 @@ def _isqrt(x):
     return np.sqrt(x).astype(np.int64)
 
 
+# the breadth-first array kernels (this walk, kodaira's shell search and
+# weyl's orthogonal tuples) grow at most this many array entries (rows times
+# row width) at a time, 1 MiB as int64; the rest waits on a stack of blocks,
+# finished in order
+_BLOCK = 1 << 17
+
+
+def _index_dtype(n: int):
+    """The narrowest unsigned integer dtype that holds 0..n - 1."""
+    import numpy as np
+
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+def _owners(n, ends, a, b):
+    """(part, take) for children a..b-1 of a level whose row p has n[p]
+    children, numbered ends[p] - n[p] .. ends[p] - 1 (ends = cumsum(n)): the
+    slice of rows that own them and how many of them each row owns."""
+    import numpy as np
+
+    p0, p1 = np.searchsorted(ends, (a, b - 1), side="right")
+    part = slice(int(p0), int(p1) + 1)
+    return part, np.minimum(ends[part], b) - np.maximum(ends[part] - n[part], a)
+
+
 def _short_vectors(L: GramLattice, bound: int, coords: bool = True):
     """(rows, norms) for every lattice vector of norm <= bound (positive
     definite L only): its coordinates as a row of an (N, rank) array, in
     lexicographic order of (x_{n-1}, ..., x_0), and its norm.  With coords
-    false, rows is None and the last level builds no coordinates.
+    false, rows is None and norms is a dict from each norm that occurs to
+    its number of vectors, in ascending order; no per-vector array is kept.
 
     With s * x^T G x = sum_i w_i y_i^2 and y_i = m_i x_i + t_i, where
     t_i = sum_{j>i} c_ij x_j, the coordinates are fixed from the last to the
-    first, one array step per level for all partial vectors at once.  rem is
+    first, one array step per level for a block of partial vectors.  rem is
     what each has left of s * bound, so |y_i| <= isqrt(rem // w_i) bounds x_i
-    by two floor divisions, and each partial vector is repeated once per x_i
-    in range.  The steps run on int64 when the LDL^T data and bounds on
-    every |x_i| and |t_i| fit there and s * bound is below the 2^52 of the
-    float isqrt, and otherwise on Python integers in object arrays.
+    by two floor divisions, and each partial vector has one child per x_i in
+    range.  A level's children are taken in order, at most ``_BLOCK`` array
+    entries at a time, and each block is finished before the next is taken,
+    so memory holds one block per level besides the output.  The steps run
+    on int64 when the LDL^T data and bounds on every |x_i| and |t_i| fit
+    there and s * bound is below the 2^52 of the float isqrt, and otherwise
+    on Python integers in object arrays.
     """
     import numpy as np
 
@@ -436,20 +466,50 @@ def _short_vectors(L: GramLattice, bound: int, coords: bool = True):
         xmax.insert(0, reach // m[i])
         big = max(big, 2 * reach)
     dtype = np.int64 if top < 2**52 and big <= _INT64_MAX else object
-    rows, rem = np.zeros((1, 0), dtype=dtype), np.array([top], dtype=dtype)
-    for i in reversed(range(L.rank)):
-        t = rows @ np.array(c[i], dtype=dtype)
-        r = _isqrt(rem // w[i])
-        lo = -((r + t) // m[i])
-        n = ((r - t) // m[i] - lo + 1).astype(np.int64)
-        # row k of the next level lies in the block of partial vector p,
-        # which starts at row start_p, and takes x_i = lo_p + k - start_p
-        x = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+    # per level: its block of partial vectors, with rem, t_i, the first x_i
+    # less the number of earlier children, the number of x_i in range, its
+    # running sum and total, and the children taken
+    stack, found, counts = [], [], Counter()
+    i, rows, rem = L.rank - 1, np.zeros((1, 0), dtype=dtype), np.array([top], dtype=dtype)
+    while True:
+        if i < 0:
+            norms = (top - rem) // s
+            if coords:
+                found.append((rows, norms))
+            else:
+                # one count per run of equal norms after a sort
+                norms = np.sort(norms)
+                cuts = [0, *(np.flatnonzero(norms[1:] != norms[:-1]) + 1).tolist(), len(norms)]
+                for lo, hi in zip(cuts, cuts[1:]):
+                    counts[int(norms[lo])] += hi - lo
+        else:
+            t = rows @ np.array(c[i], dtype=dtype)
+            r = _isqrt(rem // w[i])
+            lo = -((r + t) // m[i])
+            n = ((r - t) // m[i] - lo + 1).astype(np.int64, copy=False)
+            ends = np.cumsum(n)
+            if ends[-1]:
+                # the level's child k, owned by partial vector p, takes x_i = start_p + k
+                stack.append([i, rows, rem, t, lo - (ends - n), n, ends, int(ends[-1]), 0])
+        if not stack:
+            break
+        level = stack[-1]
+        i, rows, rem, t, start, n, ends, total, a = level
+        b = level[8] = min(total, a + max(1, _BLOCK // (L.rank - i + 1)))
+        if b == total:
+            stack.pop()
+        if b - a < total:
+            part, n = _owners(n, ends, a, b)
+            rows, rem, t, start = rows[part], rem[part], t[part], start[part]
+        x = np.repeat(start, n) + np.arange(a, b)
         y = m[i] * x + np.repeat(t, n)
         rem = np.repeat(rem, n) - w[i] * y * y
         if i or coords:
-            rows = np.column_stack((x, np.repeat(rows, n, axis=0)))
-    return (rows if coords else None), (top - rem) // s
+            rows = np.concatenate((x[:, None], np.repeat(rows, n, axis=0)), axis=1)
+        i -= 1
+    if coords:
+        return np.concatenate([r for r, _ in found]), np.concatenate([v for _, v in found])
+    return None, dict(sorted(counts.items()))
 
 
 def enumerate_norm(L: GramLattice, n: int):
@@ -486,7 +546,7 @@ def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
             return counts[n // 2] if n % 2 == 0 else 0
     elif method not in ("fincke-pohst",):
         raise ValueError(f"unknown method {method!r}")
-    return int((_short_vectors(L, n, coords=False)[1] == n).sum())
+    return _short_vectors(L, n, coords=False)[1].get(n, 0)
 
 
 def roots(L: GramLattice):
@@ -501,7 +561,7 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
     grid, obtained by exhaustive counting: dynamic programming over a Z^k
     coordinate model, without numpy, when the Gram matrix is that of the
     standard construction the label names, otherwise the Fincke-Pohst walk,
-    whose norms are counted by np.bincount without building the vectors.
+    which counts the norms of each block of vectors without keeping them.
     Coefficients are exact Python integers, also past int64.
     """
     if not L.is_even:
@@ -514,10 +574,8 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
             return list(c[:prec])
     elif method not in ("fincke-pohst",):
         raise ValueError(f"unknown method {method!r}")
-    import numpy as np
-
-    norms = _short_vectors(L, 2 * max(prec - 1, 0), coords=False)[1]
-    return np.bincount(norms.astype(np.int64), minlength=2 * prec)[: 2 * prec : 2].tolist()
+    counts = _short_vectors(L, 2 * max(prec - 1, 0), coords=False)[1]
+    return [counts.get(2 * k, 0) for k in range(prec)]
 
 
 # -- fast exact counting models for standard lattices -----------------------
@@ -901,7 +959,7 @@ def is_isometric(L1: GramLattice, L2: GramLattice) -> bool:
     norms = tuple(sorted({L1.gram[i][i] for i in range(L1.rank)}))
     found = _short_vectors(L1, norms[-1], coords=False)[1]
     dtype, pools, images = _norm_pools(L2, norms)
-    if any(len(pools[n]) != (found == n).sum() for n in norms):
+    if any(len(pools[n]) != found.get(n, 0) for n in norms):
         return False
     order = _search_order(L1.gram)
     g1 = [[L1.gram[a][b] for b in order] for a in order]
@@ -945,12 +1003,6 @@ def _sign_normalize(vec):
         if c != 0:
             return vec if c > 0 else tuple(-x for x in vec)
     raise ValueError("zero vector in sublattice descriptor")
-
-
-def canonical_object(obj):
-    """Canonical form of a set of roots: each root sign-normalized by its
-    first nonzero coordinate, the tuple sorted."""
-    return tuple(sorted(_sign_normalize(tuple(v)) for v in obj))
 
 
 def reflection_orbits(L: GramLattice, objects, generators=None):
@@ -1017,7 +1069,8 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
     moved keys and matching them to the sorted keys gives a move's
     permutation of the objects, or shows that the set is not closed.  Labels
     then fall to the smallest object index of each orbit by min-label
-    propagation.
+    propagation.  Root indices, object moves and labels are held in the
+    narrowest unsigned dtype that holds them (``_index_dtype``).
     """
     import numpy as np
 
@@ -1025,9 +1078,12 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
     if not count:
         return 0, [], []
     base = len(root_rows)
+    at_root, at_object = _index_dtype(base), _index_dtype(count + 1)
     keys = _pack_rows(members, base)
     order = np.argsort(keys)
     sorted_keys = keys[order]
+    order = order.astype(at_object)
+    del keys
     if np.any(sorted_keys[1:] == sorted_keys[:-1]):
         raise ValueError("objects are not distinct after canonicalization")
     if generators is None:
@@ -1053,7 +1109,7 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
             raise ValueError("reflection image is not integral")
         images = _sign_normalize_rows(root_rows - (coeff // rr)[:, None] * rv)
         root_keys, image_keys = _pack_rows(np.stack([root_rows, images]))
-        tos.append(_lookup(root_keys, image_keys))
+        tos.append(_lookup(root_keys, image_keys).astype(at_root))
 
     def object_move(to):
         # a min/max network over the columns sorts each moved object's root
@@ -1062,17 +1118,17 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
         for last in range(len(cols) - 1, 0, -1):
             for j in range(last):
                 cols[j], cols[j + 1] = np.minimum(cols[j], cols[j + 1]), np.maximum(cols[j], cols[j + 1])
-        moved = cols[0]
+        moved = cols[0].astype(np.int64)
         for col in cols[1:]:
             moved = moved * base + col
         by_moved = np.argsort(moved)
         if not np.array_equal(moved[by_moved], sorted_keys):
             raise ValueError("object set is not closed under the reflection group")
-        move = np.empty(count, dtype=np.intp)
+        move = np.empty(count, dtype=at_object)
         move[by_moved] = order
         return move
 
-    coxeter = np.arange(base)
+    coxeter = np.arange(base, dtype=at_root)
     for to in tos:
         coxeter = to[coxeter]
     line_of = {row: i for i, row in enumerate(map(tuple, root_rows.tolist()))}
@@ -1081,13 +1137,13 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
     moves = [object_move(tos[i]) for i in kept]
     if len(kept) < len(tos):
         move = object_move(coxeter)
-        back = np.empty(count, dtype=np.intp)
+        back = np.empty(count, dtype=at_object)
         back[move] = np.arange(count)
         moves += [move, back]
     # the moves are closed under inverses (reflections are involutions), so a
     # label that no move lowers is the smallest object index of its orbit;
     # labels[labels] jumps along chains
-    labels = np.arange(count)
+    labels = np.arange(count, dtype=at_object)
     while True:
         new = labels
         for move in moves:
@@ -1098,9 +1154,9 @@ def _orbit_partition(L: GramLattice, root_rows, members, generators=None):
         labels = new
     firsts = np.flatnonzero(labels == np.arange(count))
     sizes = np.bincount(labels)[firsts]
-    rank_of = np.empty(count, dtype=np.int64)
+    rank_of = np.empty(count, dtype=at_object)
     rank_of[order] = np.arange(count)
-    smallest = np.full(count, count)
+    smallest = np.full(count, count, dtype=at_object)
     np.minimum.at(smallest, labels, rank_of)
     by_size = np.lexsort((firsts, -sizes))
     return len(firsts), sizes[by_size].tolist(), order[smallest[firsts[by_size]]].tolist()

@@ -20,8 +20,8 @@ arithmetic:
   * the assembled representation numbers r(t) with two independent routes
     (exact Cohen-number route, numeric L-value route) that must agree.
 
-Every factorisation in latq (square-free kernels, b_n, divisors, Moebius,
-and the polarisation counts) is read off the one trial division
+Every factorisation in latq (square-free kernels, divisors, Moebius, and
+the polarisation counts) is read off the one trial division
 `arith._factor`, and every integer p-adic valuation is `arith._ord`.  The
 numeric L-value route factors no n: it tabulates b_n for all n at once over
 a prime sieve, with the Legendre symbols of every prime from one
@@ -29,10 +29,10 @@ Euler-criterion pass on arrays, and its enclosure is memoised per
 (delta, terms), so each discriminant builds one table however many t share
 it.  The Cohen route's generalized Bernoulli numbers come from integer power
 sums sum_a chi(a) a^j, with rationals only in the final n + 1 terms.
-Neither memo nor power sums factor anything.  The brute-force b_n and the
-counting oracle factor nothing either, so they stay independent of the
-closed forms they certify.  The oracle's Jordan split is verified on
-integer matrices, each scaled by one common denominator.
+Neither memo nor power sums factor anything.  The counting oracle factors
+nothing either, so it stays independent of the closed forms it certifies.
+The oracle's Jordan split is verified on integer matrices, each scaled by
+one common denominator.
 
 Densities are normalized as limits of p^{-a(m-1)} #{X mod p^a : S(X) = t}.
 """
@@ -57,7 +57,6 @@ __all__ = [
     "decompose_t",
     "ZagierDiscriminant",
     "discriminant_of",
-    "b_n",
     "zagier_L_numeric",
     "bernoulli_number",
     "generalized_bernoulli",
@@ -196,26 +195,6 @@ def _sqrt_count_mod_pp(delta: int, p: int, e: int) -> int:
     if r == 2:
         return 2 * scale if d % 4 == 1 else 0
     return 4 * scale if d % 8 == 1 else 0
-
-
-def b_n(delta: int, n: int) -> int:
-    """#{x mod 2n : x^2 = delta mod 4n}; 0 for n < 1."""
-    if delta % 4 not in (0, 1):
-        raise ValueError("delta must be 0 or 1 mod 4")
-    if delta == 0:
-        raise ValueError("delta = 0 is not supported")
-    if n < 1:
-        return 0
-    total = 1
-    for p, e in _factor(4 * n):
-        total *= _sqrt_count_mod_pp(delta, p, e)
-        if total == 0:
-            return 0
-    return total // 2
-
-
-def b_n_bruteforce(delta: int, n: int) -> int:
-    return sum(1 for x in range(2 * n) if (x * x - delta) % (4 * n) == 0)
 
 
 @lru_cache(maxsize=4)

@@ -9,22 +9,23 @@ a 4A1 is a quadruple of pairwise orthogonal sign-normalized roots.
 Configurations are enumerated on root indices.  The positive roots and
 their Gram matrix are built once per lattice; orthogonal pairs and
 quadruples are read off the zero pattern of that matrix, growing tuples one
-root at a time through boolean rows, and A2 triples from its entries +/-1
+root at a time through boolean rows, depth first in blocks of at most
+``lattices._BLOCK`` array entries, and A2 triples from its entries +/-1
 with the third root found by a lookup of sign-normalized rows.  Each
 configuration is an ascending tuple of indices into the lexicographically
-ordered positive roots, which is its canonical form.  ``orbit_summary``
-hands those index arrays straight to the closure core of
-``lattices.reflection_orbits``, which moves them by a Coxeter element c of
-the simple reflections and by the few simple reflections whose lines c and
-the kept ones do not reach (one of E8's eight); the public enumerators turn
-the same arrays into coordinate tuples.
+ordered positive roots, in the narrowest unsigned dtype that holds them,
+which is its canonical form.  ``orbit_summary`` hands those index arrays
+straight to the closure core of ``lattices.reflection_orbits``, which moves
+them by a Coxeter element c of the simple reflections and by the few simple
+reflections whose lines c and the kept ones do not reach (one of E8's
+eight); the public enumerators turn the same arrays into coordinate tuples.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattices import _INT64_MAX, GramLattice, _orbit_partition, _pack_rows, _sign_normalize, _sign_normalize_rows, roots
+from .lattices import _BLOCK, _INT64_MAX, GramLattice, _index_dtype, _orbit_partition, _pack_rows, _sign_normalize, _sign_normalize_rows, roots
 
 __all__ = [
     "positive_roots",
@@ -70,7 +71,7 @@ def _as_tuples(rows, members):
 def _configurations(L: GramLattice, kind: str):
     """(rows, members): the positive roots as an (m, n) int64 array in
     lexicographic order, and one row of ascending indices into it per
-    configuration of the given kind.
+    configuration of the given kind, in the narrowest dtype that holds them.
 
     Configurations come in the order of the positive roots (``positive_roots``)
     they are built from: pairs and quadruples i < j < k < l lexicographically,
@@ -86,7 +87,7 @@ def _configurations(L: GramLattice, kind: str):
     dtype = np.int64 if L.rank * L.rank * big <= _INT64_MAX else object
     gram = (pos.astype(dtype) @ np.array(L.gram, dtype=dtype) @ pos.T.astype(dtype)).astype(np.int64)
     by_lex = np.lexsort(pos.T[::-1])
-    lex = np.empty(len(pos), dtype=np.int64)
+    lex = np.empty(len(pos), dtype=_index_dtype(len(pos)))
     lex[by_lex] = np.arange(len(pos))
     rows = pos[by_lex]
     if kind == "A1+A1":
@@ -98,10 +99,10 @@ def _configurations(L: GramLattice, kind: str):
         # is the sign-normalized a - (a, b) b
         i, j = np.nonzero(np.triu(np.abs(gram) == 1, 1))
         if not len(i):
-            return rows, np.zeros((0, 3), dtype=np.int64)
+            return rows, np.zeros((0, 3), dtype=lex.dtype)
         third = _sign_normalize_rows(pos[i] - gram[i, j][:, None] * pos[j])
         row_keys, third_keys = np.split(_pack_rows(np.concatenate([rows, third])), [len(rows)])
-        k = np.searchsorted(row_keys, third_keys)  # the third vector is a root
+        k = np.searchsorted(row_keys, third_keys).astype(lex.dtype)  # the third vector is a root
         return rows, np.unique(np.sort(np.column_stack([lex[i], lex[j], k]), axis=1), axis=0)
     else:
         raise ValueError(f"unknown sublattice kind {kind!r}")
@@ -110,19 +111,40 @@ def _configurations(L: GramLattice, kind: str):
 
 def _orthogonal_tuples(gram, size: int):
     """Index tuples i_1 < ... < i_size of pairwise orthogonal roots, in
-    lexicographic order: each tuple is extended by every later root that the
-    boolean row of its last root and the tuple's running mask both allow."""
+    lexicographic order, in the narrowest dtype that holds the indices: each
+    tuple is extended by every later root that the boolean row of its last
+    root and the tuple's running mask both allow.  A level's tuples are
+    extended a block at a time, as many as give at most ``_BLOCK`` array
+    entries (tuple and mask) of extensions but at least one, and each block
+    is finished before the next is taken, so the masks of one block per
+    level are held at once."""
     import numpy as np
 
+    dtype = _index_dtype(len(gram))
     orth = np.triu(gram == 0, 1)
-    idx = np.arange(len(gram))[:, None]
-    mask = orth
+    # per level: its block of tuples and their masks, the running count of
+    # their extensions, and the tuples extended
+    stack, found = [], [np.zeros((0, size), dtype=dtype)]
+    idx, mask = np.arange(len(gram), dtype=dtype)[:, None], orth
     while True:
-        parent, nxt = np.nonzero(mask)
-        idx = np.column_stack([idx[parent], nxt])
         if idx.shape[1] == size:
-            return idx
-        mask = mask[parent] & orth[nxt]
+            found.append(idx)
+        else:
+            n = np.count_nonzero(mask, axis=1)
+            if n.any():
+                stack.append([idx, mask, np.cumsum(n), 0])
+        if not stack:
+            return np.concatenate(found)
+        level = stack[-1]
+        idx, mask, ends, first = level
+        width = idx.shape[1] + 1 + (len(gram) if idx.shape[1] + 1 < size else 0)
+        done = int(ends[first - 1]) if first else 0
+        last = level[3] = max(first + 1, int(np.searchsorted(ends, done + _BLOCK // width, side="right")))
+        if last == len(ends):
+            stack.pop()
+        parent, nxt = np.nonzero(mask[first:last])
+        idx = np.column_stack((idx[first:last][parent], nxt.astype(dtype)))
+        mask = mask[first:last][parent] & orth[nxt] if idx.shape[1] < size else None
 
 
 @lru_cache(maxsize=8)

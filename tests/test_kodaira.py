@@ -1,7 +1,12 @@
 import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from latq import kodaira as ko
 from latq import lattices as lt
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 E7 = lt.E7()
 
 
@@ -87,9 +93,13 @@ def test_search_against_generic_enumeration():
         assert res.shell_size == len(lt.enumerate_norm(E7, 2 * d))
 
 
+# blocks of 1, 2 and 3 array entries take one row at a time at every level;
+# 20 and 100 cut levels inside the values of one prefix
+BLOCKS = (1, 2, 3, 20, 100, ko._BLOCK)
+
+
 def test_sorted_shells_match_brute_force(monkeypatch):
-    # every nondecreasing 8-tuple of one parity, filtered by sum and norm;
-    # a block of two prefixes splits every shell across many blocks
+    # every nondecreasing 8-tuple of one parity, filtered by sum and norm
     for d in range(1, 9):
         r = isqrt(8 * d)
         brute = [
@@ -98,9 +108,38 @@ def test_sorted_shells_match_brute_force(monkeypatch):
             for z in itertools.combinations_with_replacement(range(-r + (r - parity) % 2, r + 1, 2), 8)
             if sum(z) == 0 and sum(x * x for x in z) == 8 * d
         ]
-        for block in (ko._BLOCK, 2):
+        for block in BLOCKS:
             monkeypatch.setattr(ko, "_BLOCK", block)
             assert np.concatenate(list(ko._sorted_shells(8 * d))).tolist() == brute, (d, block)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_shell_search_memory():
+    # search(1600) grows 1.16 M five-coordinate prefixes: held all at once,
+    # with the witness pass over every class of the least count on int64,
+    # they rose the peak by about 119 MB; in blocks by about 33 MB, mostly
+    # the int16 class cache.  The child reads its own high-water mark, as in
+    # test_weyl.test_four_a1_in_e8_memory
+    code = """
+import json
+from latq import kodaira as ko, lattices as lt
+
+def high_water_kb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+lt.theta_e7(1601)
+ko.search(1)
+before = high_water_kb()
+res = ko.search(1600)
+print(json.dumps([res.shell_size, res.witness, (high_water_kb() - before) / 1024]))
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    shell, witness, rise_mb = json.loads(proc.stdout.splitlines()[-1])
+    assert shell == lt.theta_e7(1601)[1600]
+    assert lt.norm(E7, witness) == 3200
+    assert rise_mb < 48, rise_mb
 
 
 def test_class_root_counts_match_root_enumeration():
@@ -302,6 +341,34 @@ def lattice_classes(draw):
 @given(lattice_classes())
 def test_witness_matches_brute_force_drawn(z):
     assert ko._lex_min_witness([z]) == brute_witness([z])
+
+
+def test_witness_is_block_invariant(monkeypatch):
+    for d in (9, 12, 19, 40):
+        _, classes, counts = ko._shell_classes(d)
+        for n in np.unique(counts).tolist():
+            want = ko._lex_min_witness(classes[counts == n])
+            for block in BLOCKS:
+                monkeypatch.setattr(ko, "_BLOCK", block)
+                assert ko._lex_min_witness(classes[counts == n]) == want, (d, n, block)
+            monkeypatch.undo()
+
+
+def test_odd_numerator_is_refused(monkeypatch):
+    # in a lattice class every z_i has one parity, so z_j - z_0 v7_j is even
+    # for v7_j = +/-1; a v7 with an even entry breaks only the numerator side
+    v7 = (1, 0, 1, 1, -1, -1, -1, -1)
+    monkeypatch.setattr(ko, "E7_SIMPLE_DOUBLED", (*lt.E7_SIMPLE_DOUBLED[:6], v7))
+    with pytest.raises(AssertionError, match="odd simple-root numerator"):
+        ko._lex_min_witness([(-1, -1, -1, -1, 1, 1, 1, 1)])
+
+
+def test_witness_round_trip_is_checked(monkeypatch):
+    # the reconstruction side alone is shifted off the array witness
+    exact = ko.doubled_to_lambda
+    monkeypatch.setattr(ko, "doubled_to_lambda", lambda z: tuple(x + 1 for x in exact(z)))
+    with pytest.raises(AssertionError, match="does not round-trip"):
+        ko._lex_min_witness([(-1, -1, -1, -1, 1, 1, 1, 1)])
 
 
 def test_class_outside_lattice_is_refused():

@@ -210,7 +210,30 @@ def test_short_vectors_match_brute_force(L, scale, shear):
     if L.is_even:
         assert lt.theta_counts(sheared, 5, method="fincke-pohst") == [len(brute[2 * m]) for m in range(5)]
     rows, norms = lt._short_vectors(sheared, 8)
-    assert lt._short_vectors(sheared, 8, coords=False)[1].tolist() == norms.tolist()
+    assert lt._short_vectors(sheared, 8, coords=False)[1] == dict(zip(*(a.tolist() for a in np.unique(norms, return_counts=True))))
+
+
+BLOCKS = (1, 2, 3, 20, 100, lt._BLOCK)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_positive_definite_grams(), st.integers(0, 8))
+def test_short_vectors_are_block_invariant(L, bound):
+    # blocks of 1, 2 and 3 entries take one vector at a time at every level,
+    # 20 and 100 cut levels inside the range of one partial vector; the
+    # scaled lattice runs the walk on Python integers
+    scale = 2**52
+    scaled = lt.GramLattice(tuple(tuple(scale * x for x in row) for row in L.gram))
+    for M, top in ((L, bound), (scaled, scale * bound)):
+        rows, norms = lt._short_vectors(M, top)
+        assert np.array_equal(np.lexsort(rows.T), np.arange(len(rows)))  # lex order of (x_{n-1}, ..., x_0)
+        counts = dict(zip(*(a.tolist() for a in np.unique(norms, return_counts=True))))
+        for block in BLOCKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lt, "_BLOCK", block)
+                got_rows, got_norms = lt._short_vectors(M, top)
+                assert np.array_equal(got_rows, rows) and np.array_equal(got_norms, norms), block
+                assert lt._short_vectors(M, top, coords=False) == (None, counts), block
 
 
 def test_generic_theta_of_e8_is_the_eisenstein_series():
@@ -546,7 +569,7 @@ def test_is_isometric_false_when_theta_series_differ(data):
     g1, g2 = lt._congruent(_identity(n), b), lt._congruent(sts, b)
     L1, L2 = _lattice(g1), _lattice(lt._congruent(g2, data.draw(_unimodular(n))))
     bound = max(g1[k][k] for k in range(n)) + 2
-    theta1, theta2 = (sorted(lt._short_vectors(L, bound, coords=False)[1].tolist()) for L in (L1, L2))
+    theta1, theta2 = (lt._short_vectors(L, bound, coords=False)[1] for L in (L1, L2))
     if theta1 != theta2:
         assert not lt.is_isometric(L1, L2)
     if sts == _identity(n):
@@ -654,7 +677,7 @@ def test_cholesky_reaches_object_walk():
     b = [[10**9, 3, -7], [1, 10**9, 5], [-2, 4, 10**9]]
     g = lt._freeze([[sum(b[k][i] * b[k][j] for k in range(3)) + (i == j) for j in range(3)] for i in range(3)])
     assert lt._cholesky.__wrapped__(g) == _ldl_reference(g)
-    assert lt._short_vectors(lt.GramLattice(g), 1, coords=False)[1].dtype == object
+    assert lt._short_vectors(lt.GramLattice(g), 1)[1].dtype == object
 
 
 @pytest.mark.parametrize(
@@ -757,7 +780,9 @@ def test_e8_walk_is_pinned():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_e8_theta_memory():
     # the walk counts norms without building vectors: theta of E8 to prec 10
-    # (522 001 vectors) rose the peak by about 63 MB as tuples, 38 MB now
+    # (522 001 vectors) rose the peak by about 63 MB as tuples and 38 MB as
+    # one norm array.  To prec 30 (about 46 M vectors) the breadth-first walk
+    # rose it by about 2450 MB, and the walk in blocks by about 9 MB
     code = """
 import json
 from latq import lattices as lt
@@ -769,14 +794,14 @@ def high_water_kb():
 e8 = lt.E8()
 lt.theta_counts(e8, 2, "fincke-pohst")
 before = high_water_kb()
-counts = lt.theta_counts(e8, 10, "fincke-pohst")
+counts = lt.theta_counts(e8, 30, "fincke-pohst")
 print(json.dumps([counts, (high_water_kb() - before) / 1024]))
 """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     counts, rise_mb = json.loads(proc.stdout.splitlines()[-1])
-    assert sum(counts) == 522001
-    assert rise_mb < 50, rise_mb
+    assert counts == lt.theta_e8(30)
+    assert rise_mb < 32, rise_mb
 
 
 def test_smith_normal_form_random():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from latq import lattices as lt
 from latq import polarisation as po
 from latq import siegel as sg
+from latq.arith import _factor
 
 
 def legendre(a, p):
@@ -126,19 +127,44 @@ def test_decompose_t_properties(t, det_a):
     assert gcd(t // t_a, det_a) == 1
 
 
+# the per-n b_n, one factorisation per n, and its brute force: references
+# for the b_n table `_b_table` of the numeric route, which factors no n
+
+
+def b_n(delta: int, n: int) -> int:
+    """#{x mod 2n : x^2 = delta mod 4n}; 0 for n < 1."""
+    if delta % 4 not in (0, 1):
+        raise ValueError("delta must be 0 or 1 mod 4")
+    if delta == 0:
+        raise ValueError("delta = 0 is not supported")
+    if n < 1:
+        return 0
+    total = 1
+    for p, e in _factor(4 * n):
+        total *= sg._sqrt_count_mod_pp(delta, p, e)
+        if total == 0:
+            return 0
+    return total // 2
+
+
+def b_n_bruteforce(delta: int, n: int) -> int:
+    """#{x mod 2n : x^2 = delta mod 4n} by trying every x."""
+    return sum(1 for x in range(2 * n) if (x * x - delta) % (4 * n) == 0)
+
+
 def test_b_n_values_and_bruteforce():
-    assert all(sg.b_n(delta, 1) == 1 for delta in (1, 5, 8, 12, 24, 33))
-    assert sg.b_n(1, 3) == 2
-    assert sg.b_n(5, 2) == 0
+    assert all(b_n(delta, 1) == 1 for delta in (1, 5, 8, 12, 24, 33))
+    assert b_n(1, 3) == 2
+    assert b_n(5, 2) == 0
     for delta in (1, 5, 8, 12, 24, 33, 40):
         for n in range(-2, 120):  # n <= 0 counts nothing
-            assert sg.b_n(delta, n) == sg.b_n_bruteforce(delta, n), (delta, n)
+            assert b_n(delta, n) == b_n_bruteforce(delta, n), (delta, n)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.integers(-(10**4), 10**4).filter(lambda d: d != 0 and d % 4 in (0, 1)), st.integers(1, 500))
 def test_b_n_matches_bruteforce(delta, n):
-    assert sg.b_n(delta, n) == sg.b_n_bruteforce(delta, n)
+    assert b_n(delta, n) == b_n_bruteforce(delta, n)
 
 
 def test_oracles_do_not_factor(monkeypatch):
@@ -146,7 +172,7 @@ def test_oracles_do_not_factor(monkeypatch):
     # independent of the one factorisation
     def oracle_values():
         return (
-            sg.b_n_bruteforce(-31, 45),
+            b_n_bruteforce(-31, 45),
             po.orbit_count_oracle(6, 3, 3),
             po.stable_index_oracle(10, 5, 1),
             po.disc_auto_order(30),
@@ -171,7 +197,7 @@ def test_b_table_matches_bruteforce(delta, terms):
     table = sg._b_table(delta, terms).tolist()
     assert table[0] == 0
     for n in range(1, terms + 1):
-        assert table[n] == sg.b_n_bruteforce(delta, n) == sg.b_n(delta, n), (delta, n)
+        assert table[n] == b_n_bruteforce(delta, n) == b_n(delta, n), (delta, n)
 
 
 def test_numeric_route_does_not_factor(monkeypatch):
@@ -225,13 +251,13 @@ def test_legendre_needs_p_squared_in_int64():
 @given(st.integers(-(10**6), 10**6).filter(lambda d: d != 0 and d % 4 in (0, 1)), st.integers(501, 5000))
 def test_b_table_matches_b_n_on_longer_tables(delta, terms):
     table = sg._b_table(delta, terms).tolist()
-    assert table == [sg.b_n(delta, n) for n in range(terms + 1)]
+    assert table == [b_n(delta, n) for n in range(terms + 1)]
 
 
 def test_b_table_beyond_int64():
     delta = 2**64 + 1
     table = sg._b_table(delta, 3000).tolist()
-    assert table == [sg.b_n(delta, n) for n in range(3001)]
+    assert table == [b_n(delta, n) for n in range(3001)]
 
 
 @pytest.mark.parametrize("delta, terms", [(1, 1), (-3, 2), (5, 97), (-24, 1000), (420, 20000), (-(2**64) - 3, 5000)])

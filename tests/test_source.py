@@ -37,6 +37,24 @@ def test_short_vector_walk_is_not_recursive():
     assert nested == [] and "_short_vectors" not in calls
 
 
+def test_one_block_bound():
+    # the breadth-first kernels (the walk, the E7 shell search, the Weyl-orbit
+    # tuples) share one block bound: `_BLOCK` is assigned in lattices alone,
+    # and kodaira and weyl import it from there
+    assigned = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if any(getattr(name, "id", None) == "_BLOCK" for target in targets for name in ast.walk(target)):
+                    assigned.add(path.name)
+    assert assigned == {"lattices.py"}
+    for name in ("kodaira.py", "weyl.py"):
+        tree = ast.parse((SRC / name).read_text())
+        imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "lattices" for alias in node.names}
+        assert "_BLOCK" in imported, name
+
+
 def _is_zero_table(node) -> bool:
     """`[0] * n`, `[0 for ...]`, or a numpy zeros/zeros_like/full/full_like call."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):

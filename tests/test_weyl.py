@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -6,11 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latq import lattices as lt, weyl
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def canonical_object(obj):
+    """Canonical form of a set of roots: each root sign-normalized by its
+    first nonzero coordinate, the tuple sorted."""
+    return tuple(sorted(lt._sign_normalize(tuple(v)) for v in obj))
 
 
 def test_object_counts():
@@ -53,7 +61,7 @@ def test_a2_objects_have_a2_grams():
 
 def test_canonicalization_rejects_zero():
     with pytest.raises(ValueError):
-        lt.canonical_object(((0, 0, 0, 0, 0, 0, 0),))
+        canonical_object(((0, 0, 0, 0, 0, 0, 0),))
 
 
 def test_unknown_kind():
@@ -124,14 +132,14 @@ def _orbits_by_reflection(L, objects, generators):
     """reflection_orbits by closing each canonical object under
     `lattices.reflection`, one Python tuple at a time."""
     seen, orbits = set(), []
-    for obj in map(lt.canonical_object, objects):
+    for obj in map(canonical_object, objects):
         if obj in seen:
             continue
         orbit, todo = {obj}, [obj]
         while todo:
             cur = todo.pop()
             for r in generators:
-                image = lt.canonical_object([lt.reflection(L, r, v) for v in cur])
+                image = canonical_object([lt.reflection(L, r, v) for v in cur])
                 if image not in orbit:
                     orbit.add(image)
                     todo.append(image)
@@ -236,7 +244,7 @@ def test_four_a1_reflection_orbits_match_pins(name):
 def _loop_a1a1(L):
     pos = weyl.positive_roots(L)
     return [
-        lt.canonical_object((pos[i], pos[j]))
+        canonical_object((pos[i], pos[j]))
         for i in range(len(pos))
         for j in range(i + 1, len(pos))
         if lt.inner(L, pos[i], pos[j]) == 0
@@ -251,7 +259,7 @@ def _loop_a2(L):
             pr = lt.inner(L, a, b)
             if a != b and pr in (1, -1):
                 b = b if pr == -1 else tuple(-x for x in b)
-                seen.add(lt.canonical_object((a, b, tuple(x + y for x, y in zip(a, b)))))
+                seen.add(canonical_object((a, b, tuple(x + y for x, y in zip(a, b)))))
     return sorted(seen)
 
 
@@ -260,7 +268,7 @@ def _loop_four_a1(L):
     n = len(pos)
     orth = [[lt.inner(L, pos[i], pos[j]) == 0 for j in range(n)] for i in range(n)]
     return [
-        lt.canonical_object((pos[i], pos[j], pos[k], pos[l]))
+        canonical_object((pos[i], pos[j], pos[k], pos[l]))
         for i in range(n)
         for j in range(i + 1, n)
         if orth[i][j]
@@ -305,16 +313,16 @@ def test_malformed_objects_are_still_refused():
 @pytest.mark.parametrize("kind", ["A1+A1", "A2", "4A1"])
 def test_orbit_summary_does_no_per_object_python_work(monkeypatch, kind):
     # the configurations are enumerated and closed on root-index arrays; a
-    # per-pair inner product or a per-object canonical tuple must not return
+    # per-pair inner product must not return (the per-object canonical tuple
+    # is no longer in the package at all)
     def refuse(*args):
         raise AssertionError("orbit_summary called a per-object helper")
 
     e8 = lt.E8()
     expected = weyl.orbit_summary(e8, kind)
     weyl.orbit_summary.cache_clear()
-    for name in ("inner", "canonical_object"):
-        monkeypatch.setattr(lt, name, refuse)
-        monkeypatch.setattr(weyl, name, refuse, raising=False)
+    monkeypatch.setattr(lt, "inner", refuse)
+    monkeypatch.setattr(weyl, "inner", refuse, raising=False)
     assert weyl.orbit_summary(e8, kind) == expected
 
 
@@ -452,7 +460,8 @@ def test_orbit_summary_keeps_one_simple_reflection_of_e8(monkeypatch):
 def test_four_a1_in_e8_memory():
     # the coordinate-tuple route rose by about 92 MB here, the index route by
     # about 35 MB at first and 25 MB with one object permutation per
-    # generator, and by about 17 MB on the Coxeter-element closure.  The child
+    # generator, by about 17 MB on the Coxeter-element closure, and by about
+    # 7.5 MB with the tuples grown in blocks and narrow index dtypes.  The child
     # reads its own high-water mark (VmHWM, the ru_maxrss of its address
     # space): ru_maxrss itself starts at the peak of the process that spawned
     # it, which in a test run already exceeds the rise
@@ -473,4 +482,25 @@ print(json.dumps((high_water_kb() - before) / 1024))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     rise_mb = json.loads(proc.stdout.splitlines()[-1])
-    assert rise_mb < 32, rise_mb
+    assert rise_mb < 12, rise_mb
+
+
+# blocks of 1, 2 and 3 array entries extend one tuple at a time, 20 and 100
+# a few tuples at a time
+BLOCKS = (1, 2, 3, 20, 100, lt._BLOCK)
+
+
+@pytest.mark.parametrize("name, sizes", [("A5", (2, 4)), ("D6", (2, 4)), ("E7", (2, 4)), ("A1+D4", (2, 4)), ("E8", (2,))])
+def test_orthogonal_tuples_match_combinations(monkeypatch, name, sizes):
+    L = lt.standard_lattice(name)
+    pos = np.array(weyl.positive_roots(L), dtype=np.int64)
+    gram = pos @ np.array(L.gram, dtype=np.int64) @ pos.T
+    for size in sizes:
+        combos = np.array(list(itertools.combinations(range(len(pos)), size)), dtype=np.int64).reshape(-1, size)
+        ok = np.ones(len(combos), dtype=bool)
+        for a, b in itertools.combinations(range(size), 2):
+            ok &= gram[combos[:, a], combos[:, b]] == 0
+        for block in BLOCKS:
+            monkeypatch.setattr(weyl, "_BLOCK", block)
+            got = weyl._orthogonal_tuples(gram, size)
+            assert got.dtype == np.uint8 and got.tolist() == combos[ok].tolist(), (size, block)
