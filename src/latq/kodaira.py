@@ -10,12 +10,12 @@ integer 8-tuples of constant parity; permutation-symmetry classes (sorted
 tuples) cut the work by orders of magnitude without losing exhaustiveness.
 
 The classes are enumerated one coordinate at a time as rows of integer
-arrays, depth first in blocks of at most ``lattices._BLOCK`` array entries,
-so memory holds one block per level.  Each value is bounded from
-both the remaining sum and the remaining sum of squares: the later
-coordinates are no smaller, so their squares can sum neither to less than
-when they are all equal nor to more than when all but one equal this value.
-The last two coordinates come in closed form from (b - a)^2 = 2q - s^2.
+arrays, depth first on ``lattices._Levels`` in blocks of at most
+``lattices._BLOCK`` array entries, so memory holds one block per level.
+Each value is bounded from both the remaining sum and the remaining sum of
+squares: the later coordinates are no smaller, so their squares can sum
+neither to less than when all are equal nor to more than when all but one
+equal this value.  The last two come in closed form from (b-a)^2 = 2q-s^2.
 
 The invariants of a shell's classes are computed on the same array: the
 orthogonal-root count (equal pairs, plus the zero sums of the 35
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt
 
-from .lattices import _BLOCK, E7, E7_SIMPLE_DOUBLED, _isqrt, _owners, theta_e7
+from .lattices import _BLOCK, E7, E7_SIMPLE_DOUBLED, _isqrt, _Levels, theta_e7
 
 __all__ = [
     "WITNESS_TABLE",
@@ -178,9 +178,9 @@ def _sorted_shells(total_sq: int):
     ones, each in lex order.
 
     The tuples grow one coordinate at a time (`_next_values`), and the last
-    two coordinates a <= b follow from (b - a)^2 = 2q - s^2.  A level's
-    prefixes are grown at most ``_BLOCK`` array entries at a time, and each
-    block is finished before the next is taken, so memory holds one block
+    two coordinates a <= b follow from (b - a)^2 = 2q - s^2.  The levels
+    wait on one `lattices._Levels` stack, which hands out their children in
+    blocks of at most ``_BLOCK`` array entries, so memory holds one block
     per level besides the yielded rows.
     """
     import numpy as np
@@ -194,10 +194,7 @@ def _sorted_shells(total_sq: int):
         np.zeros(2, dtype=np.int64),
         np.full(2, total_sq),
     )
-    # per level: its block of prefixes, the first next value of each less
-    # twice the number of earlier children, the number of next values, its
-    # running sum and total, and the children taken
-    stack = []
+    levels = _Levels()
     while True:
         prefix, parity, lo, s, q = state
         if prefix.shape[1] == 6:
@@ -209,22 +206,13 @@ def _sorted_shells(total_sq: int):
             yield np.column_stack((prefix[ok], a[ok], a[ok] + gap[ok]))
         else:
             start, n = _next_values(*state)
-            ends = np.cumsum(n)
-            if ends[-1]:
-                # the level's child k, owned by prefix p, takes the value base_p + 2k
-                stack.append([state, start - 2 * (ends - n), n, ends, int(ends[-1]), 0])
-        if not stack:
+            # the child j of prefix p takes the value start_p + 2j
+            levels.push(n, prefix.shape[1] + 5, prefix, parity, start, s, q)
+        block = levels.take()
+        if block is None:
             return
-        level = stack[-1]
-        state, base, n, ends, total, first = level
-        last = level[5] = min(total, first + max(1, _BLOCK // (state[0].shape[1] + 5)))
-        if last == total:
-            stack.pop()
-        if last - first < total:
-            part, n = _owners(n, ends, first, last)
-            state, base = tuple(x[part] for x in state), base[part]
-        prefix, parity, lo, s, q = state
-        v = np.repeat(base, n) + 2 * np.arange(first, last)
+        n, first, last, before, (prefix, parity, start, s, q) = block
+        v = np.repeat(start - 2 * before, n) + 2 * np.arange(first, last)
         state = (
             np.column_stack((np.repeat(prefix, n, axis=0), v)),
             np.repeat(parity, n),

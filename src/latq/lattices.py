@@ -410,10 +410,9 @@ def _isqrt(x):
     return np.sqrt(x).astype(np.int64)
 
 
-# the breadth-first array kernels (this walk, kodaira's shell search and
+# the depth-first array kernels (this walk, kodaira's shell search and
 # weyl's orthogonal tuples) grow at most this many array entries (rows times
-# row width) at a time, 1 MiB as int64; the rest waits on a stack of blocks,
-# finished in order
+# row width) at a time, 1 MiB as int64; the rest waits on a `_Levels` stack
 _BLOCK = 1 << 17
 
 
@@ -424,15 +423,40 @@ def _index_dtype(n: int):
     return np.min_scalar_type(max(n - 1, 0))
 
 
-def _owners(n, ends, a, b):
-    """(part, take) for children a..b-1 of a level whose row p has n[p]
-    children, numbered ends[p] - n[p] .. ends[p] - 1 (ends = cumsum(n)): the
-    slice of rows that own them and how many of them each row owns."""
-    import numpy as np
+class _Levels(list):
+    """The level stack of the depth-first array kernels (this walk, kodaira's
+    shell search, weyl's orthogonal tuples).  Row p of a level has n[p]
+    children, numbered before[p] .. before[p] + n[p] - 1 across the level;
+    the top level hands them out in order, at most ``_BLOCK // width`` but
+    at least one at a time, so memory holds one block per level besides the
+    output, and the output keeps its order."""
 
-    p0, p1 = np.searchsorted(ends, (a, b - 1), side="right")
-    part = slice(int(p0), int(p1) + 1)
-    return part, np.minimum(ends[part], b) - np.maximum(ends[part] - n[part], a)
+    def push(self, n, width, *rows):
+        """Add a level of arrays rows, of one length, whose row p has n[p]
+        children of width array entries each; keep it if it has children."""
+        ends = n.cumsum()
+        if len(ends) and ends[-1]:
+            self.append([rows, n, ends - n, ends, int(ends[-1]), max(1, _BLOCK // width), 0])
+
+    def take(self):
+        """(k, first, last, before, rows) for children first .. last - 1 of
+        the top level: the rows that own them, k[p] of them for row p, whose
+        earlier children number before[p]; None once every level is taken."""
+        import numpy as np
+
+        if not self:
+            return None
+        level = self[-1]
+        rows, k, before, ends, total, step, first = level
+        last = level[6] = min(total, first + step)
+        if last == total:
+            self.pop()
+        if last - first < total:
+            p0, p1 = ends.searchsorted((first, last - 1), side="right")
+            part = slice(int(p0), int(p1) + 1)
+            k = np.minimum(ends[part], last) - np.maximum(before[part], first)
+            rows, before = [r[part] for r in rows], before[part]
+        return k, first, last, before, rows
 
 
 def _short_vectors(L: GramLattice, bound: int, coords: bool = True):
@@ -447,12 +471,12 @@ def _short_vectors(L: GramLattice, bound: int, coords: bool = True):
     first, one array step per level for a block of partial vectors.  rem is
     what each has left of s * bound, so |y_i| <= isqrt(rem // w_i) bounds x_i
     by two floor divisions, and each partial vector has one child per x_i in
-    range.  A level's children are taken in order, at most ``_BLOCK`` array
-    entries at a time, and each block is finished before the next is taken,
-    so memory holds one block per level besides the output.  The steps run
-    on int64 when the LDL^T data and bounds on every |x_i| and |t_i| fit
-    there and s * bound is below the 2^52 of the float isqrt, and otherwise
-    on Python integers in object arrays.
+    range.  The levels wait on one `_Levels` stack, which hands out their
+    children in blocks of at most ``_BLOCK`` array entries, so memory holds
+    one block per level besides the output.  The steps run on int64 when
+    the LDL^T data and bounds on every |x_i| and |t_i| fit there and
+    s * bound is below the 2^52 of the float isqrt, and otherwise on Python
+    integers in object arrays.
     """
     import numpy as np
 
@@ -466,10 +490,7 @@ def _short_vectors(L: GramLattice, bound: int, coords: bool = True):
         xmax.insert(0, reach // m[i])
         big = max(big, 2 * reach)
     dtype = np.int64 if top < 2**52 and big <= _INT64_MAX else object
-    # per level: its block of partial vectors, with rem, t_i, the first x_i
-    # less the number of earlier children, the number of x_i in range, its
-    # running sum and total, and the children taken
-    stack, found, counts = [], [], Counter()
+    levels, found, counts = _Levels(), [], Counter()
     i, rows, rem = L.rank - 1, np.zeros((1, 0), dtype=dtype), np.array([top], dtype=dtype)
     while True:
         if i < 0:
@@ -487,21 +508,15 @@ def _short_vectors(L: GramLattice, bound: int, coords: bool = True):
             r = _isqrt(rem // w[i])
             lo = -((r + t) // m[i])
             n = ((r - t) // m[i] - lo + 1).astype(np.int64, copy=False)
-            ends = np.cumsum(n)
-            if ends[-1]:
-                # the level's child k, owned by partial vector p, takes x_i = start_p + k
-                stack.append([i, rows, rem, t, lo - (ends - n), n, ends, int(ends[-1]), 0])
-        if not stack:
+            # the child j of partial vector p takes x_i = lo_p + j
+            levels.push(n, L.rank - i + 1, rows, rem, t, lo)
+        block = levels.take()
+        if block is None:
             break
-        level = stack[-1]
-        i, rows, rem, t, start, n, ends, total, a = level
-        b = level[8] = min(total, a + max(1, _BLOCK // (L.rank - i + 1)))
-        if b == total:
-            stack.pop()
-        if b - a < total:
-            part, n = _owners(n, ends, a, b)
-            rows, rem, t, start = rows[part], rem[part], t[part], start[part]
-        x = np.repeat(start, n) + np.arange(a, b)
+        n, first, last, before, (rows, rem, t, lo) = block
+        # the level's partial vectors have x_{i+1}, ..., x_{n-1} fixed
+        i = L.rank - 1 - rows.shape[1]
+        x = np.repeat(lo - before, n) + np.arange(first, last)
         y = m[i] * x + np.repeat(t, n)
         rem = np.repeat(rem, n) - w[i] * y * y
         if i or coords:

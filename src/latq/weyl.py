@@ -9,9 +9,10 @@ a 4A1 is a quadruple of pairwise orthogonal sign-normalized roots.
 Configurations are enumerated on root indices.  The positive roots and
 their Gram matrix are built once per lattice; orthogonal pairs and
 quadruples are read off the zero pattern of that matrix, growing tuples one
-root at a time through boolean rows, depth first in blocks of at most
-``lattices._BLOCK`` array entries, and A2 triples from its entries +/-1
-with the third root found by a lookup of sign-normalized rows.  Each
+root at a time through boolean rows, depth first on the one level stack
+``lattices._Levels`` in blocks of at most ``_BLOCK`` array entries, and
+A2 triples from its entries +/-1 with the third root found by a lookup of
+sign-normalized rows.  Each
 configuration is an ascending tuple of indices into the lexicographically
 ordered positive roots, in the narrowest unsigned dtype that holds them,
 which is its canonical form.  ``orbit_summary`` hands those index arrays
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattices import _BLOCK, _INT64_MAX, GramLattice, _index_dtype, _orbit_partition, _pack_rows, _sign_normalize, _sign_normalize_rows, roots
+from .lattices import _INT64_MAX, GramLattice, _index_dtype, _Levels, _orbit_partition, _pack_rows, _sign_normalize, _sign_normalize_rows, roots
 
 __all__ = [
     "positive_roots",
@@ -113,38 +114,31 @@ def _orthogonal_tuples(gram, size: int):
     """Index tuples i_1 < ... < i_size of pairwise orthogonal roots, in
     lexicographic order, in the narrowest dtype that holds the indices: each
     tuple is extended by every later root that the boolean row of its last
-    root and the tuple's running mask both allow.  A level's tuples are
-    extended a block at a time, as many as give at most ``_BLOCK`` array
-    entries (tuple and mask) of extensions but at least one, and each block
-    is finished before the next is taken, so the masks of one block per
-    level are held at once."""
+    root and the tuple's running mask both allow.  The levels wait on one
+    `lattices._Levels` stack, which hands out their extensions in blocks of
+    at most ``_BLOCK`` array entries (tuple and mask) but at least one, so
+    the masks of one block per level are held at once."""
     import numpy as np
 
     dtype = _index_dtype(len(gram))
     orth = np.triu(gram == 0, 1)
-    # per level: its block of tuples and their masks, the running count of
-    # their extensions, and the tuples extended
-    stack, found = [], [np.zeros((0, size), dtype=dtype)]
+    levels, found = _Levels(), [np.zeros((0, size), dtype=dtype)]
     idx, mask = np.arange(len(gram), dtype=dtype)[:, None], orth
     while True:
         if idx.shape[1] == size:
             found.append(idx)
         else:
-            n = np.count_nonzero(mask, axis=1)
-            if n.any():
-                stack.append([idx, mask, np.cumsum(n), 0])
-        if not stack:
+            width = idx.shape[1] + 1 + (len(gram) if idx.shape[1] + 1 < size else 0)
+            levels.push(np.count_nonzero(mask, axis=1), width, idx, mask)
+        block = levels.take()
+        if block is None:
             return np.concatenate(found)
-        level = stack[-1]
-        idx, mask, ends, first = level
-        width = idx.shape[1] + 1 + (len(gram) if idx.shape[1] + 1 < size else 0)
-        done = int(ends[first - 1]) if first else 0
-        last = level[3] = max(first + 1, int(np.searchsorted(ends, done + _BLOCK // width, side="right")))
-        if last == len(ends):
-            stack.pop()
-        parent, nxt = np.nonzero(mask[first:last])
-        idx = np.column_stack((idx[first:last][parent], nxt.astype(dtype)))
-        mask = mask[first:last][parent] & orth[nxt] if idx.shape[1] < size else None
+        _, first, last, before, (idx, mask) = block
+        # the owners' extensions in order, from the first one in the block
+        skip = first - int(before[0])
+        parent, nxt = (a[skip : skip + last - first] for a in np.nonzero(mask))
+        idx = np.column_stack((idx[parent], nxt.astype(dtype)))
+        mask = mask[parent] & orth[nxt] if idx.shape[1] < size else None
 
 
 @lru_cache(maxsize=8)

@@ -100,6 +100,8 @@ BLOCKS = (1, 2, 3, 20, 100, ko._BLOCK)
 
 def test_sorted_shells_match_brute_force(monkeypatch):
     # every nondecreasing 8-tuple of one parity, filtered by sum and norm
+    takes, take = [], lt._Levels.take
+    monkeypatch.setattr(lt._Levels, "take", lambda self: takes.append(1) or take(self))
     for d in range(1, 9):
         r = isqrt(8 * d)
         brute = [
@@ -108,9 +110,14 @@ def test_sorted_shells_match_brute_force(monkeypatch):
             for z in itertools.combinations_with_replacement(range(-r + (r - parity) % 2, r + 1, 2), 8)
             if sum(z) == 0 and sum(x * x for x in z) == 8 * d
         ]
+        blocks = {}
         for block in BLOCKS:
-            monkeypatch.setattr(ko, "_BLOCK", block)
+            # the level stack reads the bound from lattices
+            monkeypatch.setattr(lt, "_BLOCK", block)
+            takes.clear()
             assert np.concatenate(list(ko._sorted_shells(8 * d))).tolist() == brute, (d, block)
+            blocks[block] = len(takes)
+        assert blocks[1] > blocks[BLOCKS[-1]], d
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from latq import lattices as lt
@@ -234,6 +234,30 @@ def test_short_vectors_are_block_invariant(L, bound):
                 got_rows, got_norms = lt._short_vectors(M, top)
                 assert np.array_equal(got_rows, rows) and np.array_equal(got_norms, norms), block
                 assert lt._short_vectors(M, top, coords=False) == (None, counts), block
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 5), max_size=12), st.integers(1, 12), st.integers(1, 64))
+@example([], 1, 1)
+@example([0, 0, 0], 2, 1)
+def test_levels_cut_a_level_at_child_boundaries(n, width, block):
+    # row p of a level has n[p] children; the blocks of the level, put
+    # together, give its (row, child) pairs in order, each block 1 ..
+    # max(1, block // width) of them, with k[p] of them for owner row p
+    naive = [(p, j) for p, count in enumerate(n) for j in range(count)]
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lt, "_BLOCK", block)
+        levels = lt._Levels()
+        levels.push(np.array(n, dtype=np.int64), width, np.arange(len(n)))
+        while (taken := levels.take()) is not None:
+            k, first, last, before, (owners,) = taken
+            assert first == len(pairs) and 1 <= last - first <= max(1, block // width)
+            got = list(zip(np.repeat(owners, k).tolist(), (np.arange(first, last) - np.repeat(before, k)).tolist()))
+            assert got == naive[first:last]
+            assert k.tolist() == [sum(p == q for p, _ in got) for q in owners.tolist()]
+            pairs += got
+    assert pairs == naive
 
 
 def test_generic_theta_of_e8_is_the_eisenstein_series():

@@ -38,21 +38,30 @@ def test_short_vector_walk_is_not_recursive():
 
 
 def test_one_block_bound():
-    # the breadth-first kernels (the walk, the E7 shell search, the Weyl-orbit
-    # tuples) share one block bound: `_BLOCK` is assigned in lattices alone,
-    # and kodaira and weyl import it from there
-    assigned = set()
+    # the depth-first kernels (the walk, the E7 shell search, the Weyl-orbit
+    # tuples) share one block bound and one level stack: `_BLOCK` is assigned
+    # and `_Levels` defined in lattices alone, `_owners` is gone, and no
+    # kernel cuts blocks of its own: none reads `_BLOCK`, calls
+    # `searchsorted` or pops a stack, and each walks on `_Levels`
+    assigned, defined, owners = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 if any(getattr(name, "id", None) == "_BLOCK" for target in targets for name in ast.walk(target)):
                     assigned.add(path.name)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "_Levels":
+                defined.add(path.name)
+            if "_owners" in {getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None)}:
+                owners.add(f"{path.name}:{node.lineno}")
     assert assigned == {"lattices.py"}
-    for name in ("kodaira.py", "weyl.py"):
+    assert defined == {"lattices.py"}
+    assert owners == set()
+    for name, kernel in (("lattices.py", "_short_vectors"), ("kodaira.py", "_sorted_shells"), ("weyl.py", "_orthogonal_tuples")):
         tree = ast.parse((SRC / name).read_text())
-        imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "lattices" for alias in node.names}
-        assert "_BLOCK" in imported, name
+        fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == kernel)
+        names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)}
+        assert "_Levels" in names and names.isdisjoint({"_BLOCK", "searchsorted", "pop"}), kernel
 
 
 def _is_zero_table(node) -> bool:

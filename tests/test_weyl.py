@@ -291,8 +291,12 @@ def test_empty_configuration_sets():
     assert weyl.orbit_summary(lt.A(5), "4A1") == (0, 0, ())
     for kind in ("A1+A1", "A2", "4A1"):
         assert weyl.orbit_summary(lt.A(1), kind) == (0, 0, ())
-    # a lattice without roots
-    assert weyl.orbit_summary(lt.rescale(lt.E8(), 2), "A2") == (0, 0, ())
+    # lattices without roots: the tuple kernel starts from an empty level
+    for L in (lt.rescale(lt.E8(), 2), lt.span(4)):
+        for kind in ("A1+A1", "A2", "4A1"):
+            assert weyl.orbit_summary(L, kind) == (0, 0, ())
+        assert weyl.a1a1_sublattices(L) == []
+        assert weyl.four_a1_sublattices(L) == []
     assert weyl.four_a1_sublattices(lt.A(5)) == []
     assert lt.reflection_orbits(lt.A(2), []) == (0, [], [])
     assert lt.reflection_orbits(lt.A(2), iter(())) == (0, [], [])
@@ -485,8 +489,8 @@ print(json.dumps((high_water_kb() - before) / 1024))
     assert rise_mb < 12, rise_mb
 
 
-# blocks of 1, 2 and 3 array entries extend one tuple at a time, 20 and 100
-# a few tuples at a time
+# blocks of 1, 2 and 3 array entries extend one tuple by one root at a time,
+# 20 and 100 by a few roots at a time
 BLOCKS = (1, 2, 3, 20, 100, lt._BLOCK)
 
 
@@ -495,12 +499,19 @@ def test_orthogonal_tuples_match_combinations(monkeypatch, name, sizes):
     L = lt.standard_lattice(name)
     pos = np.array(weyl.positive_roots(L), dtype=np.int64)
     gram = pos @ np.array(L.gram, dtype=np.int64) @ pos.T
+    takes, take = [], lt._Levels.take
+    monkeypatch.setattr(lt._Levels, "take", lambda self: takes.append(1) or take(self))
     for size in sizes:
         combos = np.array(list(itertools.combinations(range(len(pos)), size)), dtype=np.int64).reshape(-1, size)
         ok = np.ones(len(combos), dtype=bool)
         for a, b in itertools.combinations(range(size), 2):
             ok &= gram[combos[:, a], combos[:, b]] == 0
+        blocks = {}
         for block in BLOCKS:
-            monkeypatch.setattr(weyl, "_BLOCK", block)
+            # the level stack reads the bound from lattices
+            monkeypatch.setattr(lt, "_BLOCK", block)
+            takes.clear()
             got = weyl._orthogonal_tuples(gram, size)
             assert got.dtype == np.uint8 and got.tolist() == combos[ok].tolist(), (size, block)
+            blocks[block] = len(takes)
+        assert blocks[1] > blocks[BLOCKS[-1]], size
