@@ -1,8 +1,10 @@
-"""The one factorisation, the one p-adic valuation and the one exact
-truncated product of coefficient lists in latq.
+"""The one factorisation, the one p-adic valuation, the one exact
+truncated product of coefficient lists and the one cross-check in latq.
 
 `siegel` and `polarisation` import the first two by name; `qseries` and
 `lattices` multiply their theta series and counting models with the third.
+Every certified step fails through `_cross_check`, under a stable dotted
+name that `cli.main` prints with exit code 3.
 The module imports nothing, so a process that only needs a factorisation
 (the polarisation subcommands) loads neither `siegel` nor `lattices`, and
 one that multiplies q-series or coordinate-model counts (`theta`,
@@ -10,6 +12,16 @@ one that multiplies q-series or coordinate-model counts (`theta`,
 """
 
 from __future__ import annotations
+
+
+def _cross_check(ok: bool, name: str, detail: str = "") -> None:
+    """Raise AssertionError("name: detail") unless ok.
+
+    name is a unique dotted literal `<module>.<check>`.  The raise is
+    explicit, so `python -O` keeps the check, as it would not an `assert`.
+    """
+    if not ok:
+        raise AssertionError(f"{name}: {detail}")
 
 
 def _ord(n: int, p: int) -> int:

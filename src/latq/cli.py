@@ -5,7 +5,9 @@ Every subcommand wraps its payload in a deterministic envelope
 as "num/den" strings and integers never degrade to floats.
 
 Exit codes: 0 success, 1 usage error, 2 computation refused (hypothesis
-violated), 3 internal cross-check failure.
+violated), 3 internal cross-check failure.  Every check, in a handler or in
+the library, raises through `arith._cross_check`; `main` alone turns that
+AssertionError into exit 3 and names the failed check on stderr.
 
 Each subcommand imports the latq modules it runs inside its own handler, so
 a cold process loads only those (and numpy only when a kernel needs it).
@@ -20,6 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__
+from .arith import _cross_check
 
 USAGE_ERROR = 1
 REFUSED = 2
@@ -67,7 +70,7 @@ def _frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _emit(args, command, params, result, csv_rows=None, csv_header=None):
+def _emit(args, command, params, result, csv_rows, csv_header):
     if args.format == "json":
         envelope = {
             "command": command,
@@ -77,10 +80,7 @@ def _emit(args, command, params, result, csv_rows=None, csv_header=None):
         }
         print(json.dumps(envelope, sort_keys=True))
     elif args.format == "csv":
-        if csv_rows is None:
-            raise SystemExit("csv output is not available for this subcommand")
-        if csv_header:
-            print(",".join(csv_header))
+        print(",".join(csv_header))
         for row in csv_rows:
             print(",".join(str(x) for x in row))
     else:
@@ -93,11 +93,9 @@ def _print_text(command, params, result):
     if isinstance(result, dict):
         for k, v in result.items():
             print(f"  {k}: {v}")
-    elif isinstance(result, list):
+    else:
         for item in result:
             print(f"  {item}")
-    else:
-        print(f"  {result}")
 
 
 def _cmd_theta(args):
@@ -118,9 +116,8 @@ def _cmd_theta(args):
 
             enum = lt.theta_counts(_lattice(name), prec)
             _cache_store(args, name, prec, enum)
-    if args.method == "both" and closed != enum:
-        print("theta cross-check failed: closed form and enumeration differ", file=sys.stderr)
-        return CROSSCHECK_FAILED
+    if args.method == "both":
+        _cross_check(closed == enum, "cli.theta_closed_vs_enum", "closed form and enumeration differ")
     coeffs = closed if closed is not None else enum
     _emit(
         args,
@@ -223,8 +220,8 @@ def _cmd_orbits(args):
                     rep = po.orbit_count_formula(t, d, f)
                     oracle = po.orbit_count_oracle(t, d, f)
                     rows.append((t, d, f, rep.case, rep.exists, rep.count, oracle, rep.count == oracle))
-        if any(not r[-1] for r in rows):
-            return CROSSCHECK_FAILED
+        first = next((r[:3] for r in rows if not r[-1]), None)
+        _cross_check(first is None, "cli.orbit_sweep", f"orbit count formula and oracle differ at (t, d, f) = {first}")
         _emit(
             args,
             "orbits-sweep",
@@ -239,8 +236,7 @@ def _cmd_orbits(args):
         return USAGE_ERROR
     rep = po.orbit_count_formula(args.t, args.d, args.f)
     oracle = po.orbit_count_oracle(args.t, args.d, args.f)
-    if rep.count != oracle:
-        return CROSSCHECK_FAILED
+    _cross_check(rep.count == oracle, "cli.orbit_count", f"orbit count formula {rep.count} != oracle {oracle}")
     _emit(
         args,
         "orbits",
@@ -269,8 +265,7 @@ def _cmd_index(args):
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if formula != oracle:
-        return CROSSCHECK_FAILED
+    _cross_check(formula == oracle, "cli.stable_index", f"index formula {formula} != oracle {oracle}")
     _emit(
         args,
         "index",
@@ -353,15 +348,12 @@ def _cmd_table1(args):
 
     L = lt.E7()
     rows = []
-    ok = True
     for d, p, lam in ko.WITNESS_TABLE:
         nrm = lt.norm(L, lam)
         cnt = ko.orthogonal_root_count(lam)
-        match = nrm == 2 * d and cnt == 2 * p
-        ok &= match
-        rows.append((d, p, " ".join(str(x) for x in lam), nrm, cnt, match))
-    if not ok:
-        return CROSSCHECK_FAILED
+        rows.append((d, p, " ".join(str(x) for x in lam), nrm, cnt, nrm == 2 * d and cnt == 2 * p))
+    failed = [r[0] for r in rows if not r[-1]]
+    _cross_check(not failed, "cli.table1_witnesses", f"witness rows fail their norm or root count at d = {failed}")
     _emit(
         args,
         "table1",

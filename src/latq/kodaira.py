@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, isqrt
 
+from .arith import _cross_check
 from .lattices import _BLOCK, E7, E7_SIMPLE_DOUBLED, _isqrt, _Levels, theta_e7
 
 __all__ = [
@@ -84,8 +85,7 @@ def lambda_to_doubled(lam):
     for coef, vec in zip(lam, E7_SIMPLE_DOUBLED):
         for i in range(8):
             z[i] += coef * vec[i]
-    if sum(z) != 0:
-        raise AssertionError("doubled vector does not sum to zero")
+    _cross_check(sum(z) == 0, "kodaira.doubled_sum_zero", "doubled vector does not sum to zero")
     return tuple(z)
 
 
@@ -291,8 +291,7 @@ def _shell_classes(d: int):
         classes.append(z.astype(np.int16))
         counts.append(n.astype(np.int16))
     expected = theta_e7(d + 1)[d]
-    if shell != expected:
-        raise AssertionError(f"shell size mismatch at d={d}: {shell} vs {expected}")
+    _cross_check(shell == expected, "kodaira.shell_size", f"shell size mismatch at d={d}: {shell} vs {expected}")
     return shell, np.concatenate(classes), np.concatenate(counts)
 
 
@@ -313,13 +312,11 @@ def _lex_min_witness(classes) -> tuple:
     for i in range(0, len(classes), step):
         z = np.sort(classes[i : i + step].astype(np.int64), axis=1)
         # all permutations lie in the lattice iff one parity and sum zero
-        if z.sum(axis=1).any() or (z % 2 != z[:, :1] % 2).any():
-            raise AssertionError("shell class left the lattice")
+        _cross_check(not z.sum(axis=1).any() and not (z % 2 != z[:, :1] % 2).any(), "kodaira.class_in_lattice", "shell class left the lattice")
         cand = z[:, [0, 7, 6, 5, 4, 3, 2, 1]]
         # doubled_to_lambda on every candidate: a prefix sum along v_1..v_6
         num = np.cumsum(cand[:, 1:7] - cand[:, :1] * np.array(E7_SIMPLE_DOUBLED[6][1:7]), axis=1)
-        if (num % 2).any():
-            raise AssertionError("odd simple-root numerator in a lattice class")
+        _cross_check(not (num % 2).any(), "kodaira.even_numerator", "odd simple-root numerator in a lattice class")
         lam = np.column_stack((-num // 2, cand[:, 0]))
         # lex-min row: narrow to the minimum of each column in turn
         keep = np.arange(len(lam))
@@ -329,8 +326,7 @@ def _lex_min_witness(classes) -> tuple:
         if best is None or row < best[0]:
             best = row, tuple(cand[keep[0]].tolist())
     # exact reconstruction check on the chosen witness
-    if doubled_to_lambda(best[1]) != best[0]:
-        raise AssertionError("witness does not round-trip through the doubled model")
+    _cross_check(doubled_to_lambda(best[1]) == best[0], "kodaira.witness_round_trip", "witness does not round-trip through the doubled model")
     return best[0]
 
 

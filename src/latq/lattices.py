@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm, prod
 from operator import mul
 
-from .arith import _mul_trunc
+from .arith import _cross_check, _mul_trunc
 
 __all__ = [
     "GramLattice",
@@ -112,11 +112,6 @@ class GramLattice:
 
     def vector(self, coords) -> "LatticeVector":
         return LatticeVector(self, tuple(int(c) for c in coords))
-
-    def basis_vector(self, i: int) -> "LatticeVector":
-        coords = [0] * self.rank
-        coords[i] = 1
-        return LatticeVector(self, tuple(coords))
 
     def __repr__(self):
         name = self.label or f"gram{self.rank}"
@@ -362,8 +357,8 @@ def _cholesky(gram):
     w = tuple(s * b[i][i] // den for i, den in enumerate(dens))
     c = tuple(tuple(m[i] * b[i][j] // b[i][i] for j in range(i + 1, n)) for i in range(n))
     u = [[0] * i + [m[i], *c[i]] for i in range(n)]
-    if _mat_mul(list(zip(*u)), [[wi * x for x in row] for wi, row in zip(w, u)]) != [[s * x for x in row] for row in gram]:
-        raise AssertionError("LDL^T data do not reproduce the Gram matrix")
+    ldl = _mat_mul(list(zip(*u)), [[wi * x for x in row] for wi, row in zip(w, u)])
+    _cross_check(ldl == [[s * x for x in row] for row in gram], "lattices.ldl_product", "LDL^T data do not reproduce the Gram matrix")
     return s, w, tuple(m), c
 
 
@@ -893,8 +888,7 @@ def smith_normal_form(mat):
     dmat = [[m[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
     # sanity: D == Ut * mat * V
     chk = _mat_mul(_mat_mul(ut, [list(r) for r in mat]), v)
-    if chk != dmat:
-        raise AssertionError("SNF transform mismatch")
+    _cross_check(chk == dmat, "lattices.snf_transform", "SNF transform mismatch")
     return dmat, ut, v
 
 
@@ -1294,8 +1288,7 @@ def discriminant_group(L: GramLattice) -> DiscriminantGroup:
         col = [Fraction(v[r][i], d) for r in range(n)]
         facs.append(d)
         gens.append(tuple(col))
-    if prod(facs) != dets:
-        raise AssertionError("invariant factor product mismatch")
+    _cross_check(prod(facs) == dets, "lattices.invariant_factor_product", "invariant factor product mismatch")
     qv = []
     for gvec in gens:
         val = _bilinear_fraction(g, gvec, gvec) % 2

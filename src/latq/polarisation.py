@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import _factor
+from .arith import _cross_check, _factor
 
 __all__ = [
     "PolarisationQuery",
@@ -75,12 +75,9 @@ class PolarisationQuery:
             t1=2 * t // (f * g),
             d1=2 * d // (f * g),
         )
-        if 2 * t != q.w**2 * q.f1 * q.g1 * q.t1:
-            raise AssertionError("2t != w^2 f1 g1 t1")
-        if 2 * d != q.w**2 * q.f1 * q.g1 * q.d1:
-            raise AssertionError("2d != w^2 f1 g1 d1")
-        if gcd(q.t1, q.d1) != 1 or gcd(q.f1, q.g1) != 1:
-            raise AssertionError("t1, d1 or f1, g1 are not coprime")
+        _cross_check(2 * t == q.w**2 * q.f1 * q.g1 * q.t1, "polarisation.t_factors", "2t != w^2 f1 g1 t1")
+        _cross_check(2 * d == q.w**2 * q.f1 * q.g1 * q.d1, "polarisation.d_factors", "2d != w^2 f1 g1 d1")
+        _cross_check(gcd(q.t1, q.d1) == 1 and gcd(q.f1, q.g1) == 1, "polarisation.coprime_invariants", "t1, d1 or f1, g1 are not coprime")
         return q
 
 
@@ -95,8 +92,7 @@ class OrbitReport:
     witness_c: int | None
 
     def __post_init__(self):
-        if (self.count > 0) != self.exists:
-            raise AssertionError("orbit count disagrees with existence")
+        _cross_check((self.count > 0) == self.exists, "polarisation.count_vs_exists", "orbit count disagrees with existence")
 
 
 def orbit_witnesses(t: int, d: int, f: int):
@@ -198,8 +194,7 @@ def perp_gram(t: int, d: int, f: int, c: int):
     s = c * 2 * t // f
     bmat = ((-2 * b, s), (s, -2 * t))
     det = 4 * b * t - s * s
-    if det != 4 * d * t // (f * f):
-        raise AssertionError("complement determinant is not 4dt/f^2")
+    _cross_check(det == 4 * d * t // (f * f), "polarisation.complement_det", "complement determinant is not 4dt/f^2")
     return bmat
 
 
@@ -230,9 +225,6 @@ def stable_index_formula(t: int, d: int, f: int) -> int:
 
 
 def _require_w1(t: int, d: int, f: int):
-    _check_positive(t, d, f)
-    if gcd(2 * t, 2 * d) % f:
-        raise ValueError("f must divide gcd(2t, 2d)")
     q = PolarisationQuery.build(t, d, f)
     if q.w != 1:
         raise HypothesisViolation(f"w = {q.w} != 1 for (t, d, f) = ({t}, {d}, {f})")

@@ -154,16 +154,8 @@ def _check_prec(prec: int):
 
 
 def theta3(prec: int = DEFAULT_PREC) -> QSeries:
-    """Sum_n q^{n^2/2} on the half-integer grid."""
-    _check_prec(prec)
-    units = 2 * prec
-    c = [0] * units
-    c[0] = 1
-    n = 1
-    while n * n < units:
-        c[n * n] += 2
-        n += 1
-    return QSeries(2, prec, tuple(c))
+    """Sum_n q^{n^2/2} on the half-integer grid: the unshifted theta3_shifted."""
+    return theta3_shifted(0, prec)
 
 
 # 2 cos(pi j/3) = zeta^j + zeta^-j for j = 0..5, zeta = e^{i pi/3}
@@ -205,11 +197,9 @@ def shift_tau_by_one(s: QSeries) -> QSeries:
     """
     if s.grid not in (1, 2):
         raise ValueError("tau -> tau+1 needs the half-integer exponent grid")
-    out = []
-    for k, c in enumerate(s.coeffs):
-        sign = -1 if (s.grid == 2 and k % 2) else 1
-        out.append(sign * c if sign < 0 else c)
-    return QSeries(s.grid, s.prec, tuple(out))
+    if s.grid == 1:
+        return s
+    return QSeries(s.grid, s.prec, tuple(-c if k % 2 else c for k, c in enumerate(s.coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 
-from .arith import _factor, _ord
+from .arith import _cross_check, _factor, _ord
 from .lattices import A as _A
 from .lattices import D as _D
 from .lattices import _congruent, _det_bareiss, direct_sum, span
@@ -471,54 +471,32 @@ def alpha_regular(p: int, t: int, m: int, det_a: int) -> Fraction:
     return (1 - pm) * (head + last)
 
 
-def _parity_sign(D: int) -> int:
-    # the (-1)^D factor: +1 for even D, -1 for odd D
-    return -1 if D % 2 else 1
+def _alpha2(t: int, k: int, c4: int, e4: int) -> Fraction:
+    """The 2-adic density of the three forms at t, one formula in (k, c, e):
+    1 + c (1 - 8^-b)/7 + e ((-1)^D / 2^(3b+2) - chi_D(2) / 2^(3b+3)), with
+    b = floor(ord_2(t) / 2) and D the field discriminant of k t.  It is read
+    as one integer numerator over 28 * 2^(3b+3), with c4 = 4c and e4 = 4e."""
+    if t < 1:
+        raise ValueError("t must be positive")
+    n = 8 << 3 * (_ord(t, 2) // 2)
+    D = field_discriminant(k * t)
+    parity = -1 if D % 2 else 1
+    return Fraction(28 * n + 8 * c4 * (n // 8 - 1) + 7 * e4 * (2 * parity - kronecker(D, 2)), 28 * n)
 
 
 def alpha2_S5(t: int) -> Fraction:
     """2-adic density of x1^2+...+x5^2 at t."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    b = _ord(t, 2) // 2
-    D = field_discriminant(t)
-    chi = kronecker(D, 2)
-    acc = Fraction(1)
-    for k in range(1, b + 1):
-        acc -= Fraction(2, 8**k)
-    acc += _parity_sign(D) * Fraction(1, 2 ** (3 * b + 2))
-    acc -= chi * Fraction(1, 2 ** (3 * b + 3))
-    return acc
+    return _alpha2(t, 1, -8, 4)
 
 
 def alpha2_A1D4(t: int) -> Fraction:
     """2-adic density of the A1+D4 form at t."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    b = _ord(t, 2) // 2
-    D = field_discriminant(t)
-    chi = kronecker(D, 2)
-    acc = Fraction(1)
-    for k in range(1, b + 1):
-        acc -= Fraction(1, 8**k)
-    acc += _parity_sign(D) * Fraction(1, 2 ** (3 * b + 3))
-    acc -= chi * Fraction(1, 2 ** (3 * b + 4))
-    return acc
+    return _alpha2(t, 1, -4, 2)
 
 
 def alpha2_A5(t: int) -> Fraction:
     """2-adic density of the A5 form at t."""
-    if t < 1:
-        raise ValueError("t must be positive")
-    b = _ord(t, 2) // 2
-    D = field_discriminant(3 * t)
-    chi = kronecker(D, 2)
-    acc = Fraction(1)
-    for k in range(1, b + 1):
-        acc += Fraction(1, 2 ** (3 * k + 1))
-    acc -= _parity_sign(D) * Fraction(1, 2 ** (3 * b + 4))
-    acc += chi * Fraction(1, 2 ** (3 * b + 5))
-    return acc
+    return _alpha2(t, 3, 2, -1)
 
 
 def _geom_alt_third(j: int) -> Fraction:
@@ -687,10 +665,7 @@ def jordan_split(s_matrix, p: int):
             blocks.append(((a_, b_), (b_, c_)))
             done += 2
     # verification: T p-integral with unit determinant, T^t M0 T block diagonal
-    for row in t:
-        for x in row:
-            if x.denominator % p == 0:
-                raise AssertionError("transform not p-integral")
+    _cross_check(all(x.denominator % p for row in t for x in row), "siegel.jordan_p_integral", "transform not p-integral")
     expected = [[Fraction(0)] * n for _ in range(n)]
     off = 0
     for blk in blocks:
@@ -703,11 +678,9 @@ def jordan_split(s_matrix, p: int):
     ti = [[int(x * scale_t) for x in row] for row in t]
     mi = [[int(x * scale_m) for x in row] for row in m0]
     # scale_t is prime to p, so det T is a p-unit exactly when det(s_t T) is
-    if _det_bareiss(ti) % p == 0:
-        raise AssertionError("transform determinant is not a p-unit")
+    _cross_check(_det_bareiss(ti) % p != 0, "siegel.jordan_unit_det", "transform determinant is not a p-unit")
     scale = scale_t * scale_t * scale_m
-    if _congruent(mi, ti) != [[x * scale for x in row] for row in expected]:
-        raise AssertionError("T^t M T is not the block diagonal matrix")
+    _cross_check(_congruent(mi, ti) == [[x * scale for x in row] for row in expected], "siegel.jordan_block_diagonal", "T^t M T is not the block diagonal matrix")
     return t, blocks
 
 
@@ -930,11 +903,9 @@ def siegel_r(form, t: int) -> DensityReport:
     dd, delta = zd.D, zd.delta
     fa2, rem = divmod(2 * t * form.det_a, delta)
     fa = isqrt(fa2)
-    if rem or fa * fa != fa2:
-        raise AssertionError("2 t |A| / delta is not a perfect square")
+    _cross_check(not rem and fa * fa == fa2, "siegel.square_cofactor", "2 t |A| / delta is not a perfect square")
     hval = cohen_H(m1, delta)
-    if not (-1) ** (m1 // 2) * hval > 0:
-        raise AssertionError("Cohen number has the wrong sign")
+    _cross_check((-1) ** (m1 // 2) * hval > 0, "siegel.cohen_sign", "Cohen number has the wrong sign")
     alphas = []
     factors = []
     prod = Fraction(1)
@@ -948,15 +919,13 @@ def siegel_r(form, t: int) -> DensityReport:
     # 2 * |2 m1 / B_{2 m1}| with |4 / B_4| = 120
     bconst = 2 * abs(Fraction(2 * m1) / bernoulli_number(2 * m1))
     r_exact = Fraction(2 * fa**3, form.det_a**2) * bconst * (-hval) * prod
-    if r_exact.denominator != 1 or r_exact < 0:
-        raise AssertionError(f"assembled representation number is not a nonnegative integer: {r_exact}")
+    _cross_check(r_exact.denominator == 1 and r_exact >= 0, "siegel.integral_r", f"assembled representation number is not a nonnegative integer: {r_exact}")
     lo, hi = l_bounds = zagier_L_numeric(delta)  # the cached tuple, shared by every report of delta
     c_inf = alpha_infinity(t, form.m, form.det_a).value()
     scale = c_inf / ZETA4 * float(prod)
     r_lo, r_hi = scale * lo, scale * hi
     pad = 1e-9 * max(1.0, r_hi)
-    if not (r_lo - pad) <= float(r_exact) <= (r_hi + pad):
-        raise AssertionError(f"Siegel routes disagree for {form.key}, t={t}: exact {r_exact}, numeric [{r_lo}, {r_hi}]")
+    _cross_check(r_lo - pad <= float(r_exact) <= r_hi + pad, "siegel.routes_agree", f"Siegel routes disagree for {form.key}, t={t}: exact {r_exact}, numeric [{r_lo}, {r_hi}]")
     return DensityReport(
         form=form.key,
         t=t,

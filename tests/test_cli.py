@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -49,8 +50,70 @@ def test_theta_mismatch_exits_3(capsys, monkeypatch):
     from latq import qseries as qs
 
     monkeypatch.setitem(cli._THETA_CLOSED, "D6", lambda prec: qs.QSeries(1, prec, tuple([1] + [0] * (prec - 1))))
-    code, _, err = run_cli(capsys, "theta", "--lattice", "D6", "--prec", "3", "--method", "both")
+    code, out, err = run_cli(capsys, "theta", "--lattice", "D6", "--prec", "3", "--method", "both")
     assert code == cli.CROSSCHECK_FAILED
+    assert out == "" and err.startswith("internal cross-check failure: cli.theta_closed_vs_enum: ")
+
+
+def assert_check_fires(capsys, message, *argv):
+    # exit 3, nothing on stdout, and the failed check named on stderr
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.CROSSCHECK_FAILED, "")
+    assert err.startswith(f"internal cross-check failure: {message}"), err
+
+
+@pytest.mark.parametrize(
+    "module, attr, wrong, message, argv",
+    [
+        (
+            "polarisation",
+            "orbit_count_oracle",
+            lambda oracle: lambda t, d, f: oracle(t, d, f) + 1,
+            "cli.orbit_count: ",
+            ["orbits", "--t", "6", "--d", "3", "--f", "3"],
+        ),
+        (
+            "polarisation",
+            "orbit_count_oracle",
+            lambda oracle: lambda t, d, f: oracle(t, d, f) + ((t, d, f) == (2, 2, 2)),
+            "cli.orbit_sweep: orbit count formula and oracle differ at (t, d, f) = (2, 2, 2)",
+            ["--format", "csv", "orbits", "--t", "3", "--d", "3", "--sweep"],
+        ),
+        (
+            "polarisation",
+            "stable_index_oracle",
+            lambda oracle: lambda t, d, f: 2 * oracle(t, d, f),
+            "cli.stable_index: ",
+            ["index", "--t", "6", "--d", "5", "--f", "1"],
+        ),
+        (
+            "kodaira",
+            "orthogonal_root_count",
+            lambda count: lambda lam: count(lam) + 2 * (tuple(lam) == (-1, 2, 3, 1, 2, 1, 3)),
+            "cli.table1_witnesses: witness rows fail their norm or root count at d = [9]",
+            ["table1"],
+        ),
+    ],
+    ids=["orbits", "orbits-sweep", "index", "table1"],
+)
+def test_cli_check_fires(capsys, monkeypatch, module, attr, wrong, message, argv):
+    # one side of each comparison is patched, the other left as it is
+    mod = importlib.import_module(f"latq.{module}")
+    monkeypatch.setattr(mod, attr, wrong(getattr(mod, attr)))
+    assert_check_fires(capsys, message, *argv)
+
+
+def test_library_check_exits_3_through_the_cli(capsys, monkeypatch):
+    # one wrong coefficient of the closed E7 identity fails the verdict's
+    # shell check; the caches are cleared so that the shell is recounted
+    from latq import kodaira as ko
+
+    table = list(lt.theta_e7(256))
+    table[12] += 1
+    monkeypatch.setattr(lt, "_theta_e7_table", lambda prec: tuple(table))
+    ko.search.cache_clear()
+    ko._shell_classes.cache_clear()
+    assert_check_fires(capsys, "kodaira.shell_size: shell size mismatch at d=12", "verdict", "--d", "12")
 
 
 @pytest.mark.parametrize("prec", [16, 64])

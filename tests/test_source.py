@@ -1,20 +1,44 @@
 """Source-level guards on the latq package."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "latq"
 
 
+def _in_functions(node, fn=None):
+    """Every node below node, with the name of its innermost enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        yield child, fn
+        yield from _in_functions(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+
 def test_cross_checks_survive_optimised_mode():
     # `python -O` strips assert statements, which would silently drop the
-    # cross-checks behind the CLI's exit code 3; checks raise explicitly
-    offenders = []
+    # cross-checks behind the CLI's exit code 3.  Every check raises through
+    # `arith._cross_check` under a unique literal name `<module>.<check>`,
+    # and `cli.main` alone turns the failure into CROSSCHECK_FAILED
+    offenders, names = [], []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        module = path.stem
+        for node, fn in _in_functions(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
             if isinstance(node, ast.Assert):
-                offenders.append(f"{path.name}:{node.lineno}")
+                offenders.append(f"{where} assert")
+            raised = isinstance(node, ast.Raise) and node.exc is not None and "AssertionError" in {getattr(n, "id", None) for n in ast.walk(node.exc)}
+            if raised and (module, fn) != ("arith", "_cross_check"):
+                offenders.append(f"{where} raise AssertionError")
+            exits = isinstance(node, ast.Return) and node.value is not None and "CROSSCHECK_FAILED" in {getattr(n, "id", None) for n in ast.walk(node.value)}
+            if exits and (module, fn) != ("cli", "main"):
+                offenders.append(f"{where} return CROSSCHECK_FAILED")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_cross_check":
+                name = node.args[1].value if len(node.args) > 1 and isinstance(node.args[1], ast.Constant) else None
+                if not (isinstance(name, str) and re.fullmatch(rf"{module}\.[a-z][a-z0-9]*(_[a-z0-9]+)*", name)):
+                    offenders.append(f"{where} check name {ast.unparse(node.args[1]) if len(node.args) > 1 else None}")
+                names.append(name)
     assert offenders == []
+    assert names and len(names) == len(set(names)), sorted(names)
 
 
 def test_short_vector_walk_is_integer():
@@ -176,7 +200,7 @@ def test_density_oracle_names_no_closed_form():
         if name not in reached:
             reached.add(name)
             todo.extend(n for n in names(functions[name]) if n in functions)
-    closed = {"alpha3_A5", "alpha_regular", "_CLOSED_ALPHAS", "alpha_closed", "local_factor", "_factor"}
+    closed = {"alpha3_A5", "alpha_regular", "_alpha2", "_CLOSED_ALPHAS", "alpha_closed", "local_factor", "_factor"}
     offenders = {fn: sorted(n for n in names(functions[fn]) if n in closed or n.startswith("alpha2_")) for fn in sorted(reached)}
     assert {fn: bad for fn, bad in offenders.items() if bad} == {}
     assert {"jordan_split", "_ord", "_check_prime_level", "_congruent", "_det_bareiss", "_mat_mul"} <= reached
