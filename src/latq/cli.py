@@ -39,11 +39,11 @@ def _qs():
 
 
 def _theta_e7(prec):
-    # the E7 identity lives beside the E7 counts, so that the verdict's shell
-    # check reads it without loading qseries
-    from . import lattices as lt
+    # the E7 identity lives in gram, so that the verdict's shell check reads
+    # it without loading qseries or the rest of the lattice code
+    from .gram import theta_e7
 
-    return _qs().QSeries(1, prec, tuple(lt.theta_e7(prec)))
+    return _qs().QSeries(1, prec, tuple(theta_e7(prec)))
 
 
 _THETA_CLOSED = {

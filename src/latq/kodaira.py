@@ -10,8 +10,8 @@ integer 8-tuples of constant parity; permutation-symmetry classes (sorted
 tuples) cut the work by orders of magnitude without losing exhaustiveness.
 
 The classes are enumerated one coordinate at a time as rows of integer
-arrays, depth first on ``lattices._Levels`` in blocks of at most
-``lattices._BLOCK`` array entries, so memory holds one block per level.
+arrays, depth first on ``gram._Levels`` in blocks of at most ``gram._BLOCK``
+array entries, so memory holds one block per level.
 Each value is bounded from both the remaining sum and the remaining sum of
 squares: the later coordinates are no smaller, so their squares can sum
 neither to less than when all are equal nor to more than when all but one
@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import factorial, isqrt
 
 from .arith import _cross_check
-from .lattices import _BLOCK, E7, E7_SIMPLE_DOUBLED, _isqrt, _Levels, theta_e7
+from .gram import _BLOCK, E7, E7_SIMPLE_DOUBLED, _isqrt, _Levels, theta_e7
 
 __all__ = [
     "WITNESS_TABLE",
@@ -179,7 +179,7 @@ def _sorted_shells(total_sq: int):
 
     The tuples grow one coordinate at a time (`_next_values`), and the last
     two coordinates a <= b follow from (b - a)^2 = 2q - s^2.  The levels
-    wait on one `lattices._Levels` stack, which hands out their children in
+    wait on one `gram._Levels` stack, which hands out their children in
     blocks of at most ``_BLOCK`` array entries, so memory holds one block
     per level besides the yielded rows.
     """

@@ -17,10 +17,10 @@ from functools import lru_cache
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .arith import _mul_trunc
+from .arith import _cross_check, _mul_trunc
 
 if TYPE_CHECKING:
-    from .lattices import GramLattice
+    from .gram import GramLattice
 
 __all__ = [
     "QSeries",
@@ -211,8 +211,8 @@ def theta_A(n: int, prec: int = DEFAULT_PREC) -> QSeries:
     """Theta series of the root lattice A_n, for n+1 dividing 6.
 
     Classical identity: sum_{k mod n+1} theta3(tau, k/(n+1))^{n+1} divided by
-    (n+1) * theta3((n+1) tau); integrality of the result is asserted.  Each
-    shifted theta has the integer coefficients 2 cos(pi j/3), so every
+    (n+1) * theta3((n+1) tau); integrality of the result is cross-checked.
+    Each shifted theta has the integer coefficients 2 cos(pi j/3), so every
     product runs on ints.
     """
     if (n + 1) not in (2, 3, 6):
@@ -248,8 +248,7 @@ def _divide_exact(num: QSeries, den: QSeries) -> QSeries:
                 break
             s -= c * out[k - i]
         q, r = divmod(s, c0)
-        if r:
-            raise ValueError("quotient is not integral")
+        _cross_check(not r, "qseries.integral_quotient", "quotient is not integral")
         out.append(q)
     return QSeries(num.grid, n // num.grid, tuple(out[: (n // num.grid) * num.grid]))
 
@@ -262,12 +261,8 @@ def theta_D(n: int, prec: int = DEFAULT_PREC) -> QSeries:
     t3 = theta3(prec)
     t4 = shift_tau_by_one(t3)
     s = t3**n + t4**n
-    half = []
-    for c in s.coeffs:
-        if c % 2:
-            raise ValueError("theta_D coefficient is not an even integer")
-        half.append(c // 2)
-    return QSeries(s.grid, s.prec, tuple(half)).to_integer_grid()
+    _cross_check(not any(c % 2 for c in s.coeffs), "qseries.even_theta_d", "theta_D coefficient is not an even integer")
+    return QSeries(s.grid, s.prec, tuple(c // 2 for c in s.coeffs)).to_integer_grid()
 
 
 def theta_by_enumeration(L: GramLattice, prec: int = DEFAULT_PREC, method: str = "auto") -> QSeries:

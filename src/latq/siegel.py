@@ -46,9 +46,9 @@ from functools import lru_cache
 from math import comb, gcd, isqrt, lcm
 
 from .arith import _cross_check, _factor, _ord
-from .lattices import A as _A
-from .lattices import D as _D
-from .lattices import _congruent, _det_bareiss, direct_sum, span
+from .gram import A as _A
+from .gram import D as _D
+from .gram import _congruent, _det_bareiss, direct_sum, span
 
 __all__ = [
     "kronecker",

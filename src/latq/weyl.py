@@ -10,7 +10,7 @@ Configurations are enumerated on root indices.  The positive roots and
 their Gram matrix are built once per lattice; orthogonal pairs and
 quadruples are read off the zero pattern of that matrix, growing tuples one
 root at a time through boolean rows, depth first on the one level stack
-``lattices._Levels`` in blocks of at most ``_BLOCK`` array entries, and
+``gram._Levels`` in blocks of at most ``_BLOCK`` array entries, and
 A2 triples from its entries +/-1 with the third root found by a lookup of
 sign-normalized rows.  Each
 configuration is an ascending tuple of indices into the lexicographically
@@ -26,7 +26,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattices import _INT64_MAX, GramLattice, _index_dtype, _Levels, _orbit_partition, _pack_rows, _sign_normalize, _sign_normalize_rows, roots
+from .gram import _INT64_MAX, GramLattice, _index_dtype, _Levels
+from .lattices import _orbit_partition, _pack_rows, _sign_normalize, _sign_normalize_rows, roots
 
 __all__ = [
     "positive_roots",
@@ -115,7 +116,7 @@ def _orthogonal_tuples(gram, size: int):
     lexicographic order, in the narrowest dtype that holds the indices: each
     tuple is extended by every later root that the boolean row of its last
     root and the tuple's running mask both allow.  The levels wait on one
-    `lattices._Levels` stack, which hands out their extensions in blocks of
+    `gram._Levels` stack, which hands out their extensions in blocks of
     at most ``_BLOCK`` array entries (tuple and mask) but at least one, so
     the masks of one block per level are held at once."""
     import numpy as np

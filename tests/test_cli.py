@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from latq import cli
+from latq import gram as gm
 from latq import lattices as lt
 from latq import qseries as qs
 
@@ -110,10 +111,29 @@ def test_library_check_exits_3_through_the_cli(capsys, monkeypatch):
 
     table = list(lt.theta_e7(256))
     table[12] += 1
-    monkeypatch.setattr(lt, "_theta_e7_table", lambda prec: tuple(table))
+    monkeypatch.setattr(gm, "_theta_e7_table", lambda prec: tuple(table))
     ko.search.cache_clear()
     ko._shell_classes.cache_clear()
     assert_check_fires(capsys, "kodaira.shell_size: shell size mismatch at d=12", "verdict", "--d", "12")
+
+
+@pytest.mark.parametrize(
+    "attr, wrong, message, lattice",
+    [
+        # twice the divisor leaves half its constant term as the quotient's
+        ("scale_tau", lambda scale: lambda s, m: 2 * scale(s, m), "qseries.integral_quotient: quotient is not integral", "A2"),
+        # twice theta3(tau + 1) makes the constant term of the sum 1 + 2^n
+        ("shift_tau_by_one", lambda shift: lambda s: 2 * shift(s), "qseries.even_theta_d: theta_D coefficient is not an even integer", "D4"),
+    ],
+    ids=["theta_A", "theta_D"],
+)
+def test_closed_theta_check_exits_3_through_the_cli(capsys, monkeypatch, attr, wrong, message, lattice):
+    # one input of the closed form is patched; its cache is cleared so that
+    # the form is rebuilt, and a failed build caches nothing
+    monkeypatch.setattr(qs, attr, wrong(getattr(qs, attr)))
+    qs.theta_A.cache_clear()
+    qs.theta_D.cache_clear()
+    assert_check_fires(capsys, message, "theta", "--lattice", lattice, "--prec", "8", "--method", "closed")
 
 
 @pytest.mark.parametrize("prec", [16, 64])

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latq import gram as gm
 from latq import kodaira as ko
 from latq import lattices as lt
 
@@ -112,8 +113,8 @@ def test_sorted_shells_match_brute_force(monkeypatch):
         ]
         blocks = {}
         for block in BLOCKS:
-            # the level stack reads the bound from lattices
-            monkeypatch.setattr(lt, "_BLOCK", block)
+            # the level stack reads the bound from gram
+            monkeypatch.setattr(gm, "_BLOCK", block)
             takes.clear()
             assert np.concatenate(list(ko._sorted_shells(8 * d))).tolist() == brute, (d, block)
             blocks[block] = len(takes)
@@ -190,7 +191,7 @@ def test_large_degree_search_and_verdict_pinned():
 def test_shell_check_catches_one_wrong_theta_coefficient(monkeypatch, d):
     table = list(lt.theta_e7(256))
     table[d] += 1
-    monkeypatch.setattr(lt, "_theta_e7_table", lambda prec: tuple(table))
+    monkeypatch.setattr(gm, "_theta_e7_table", lambda prec: tuple(table))
     with pytest.raises(AssertionError, match="shell size mismatch"):
         ko._shell_classes.__wrapped__(d)
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from latq import gram as gm
 from latq import lattices as lt
 from latq import qseries as qs
 from latq import weyl
@@ -213,7 +214,7 @@ def test_short_vectors_match_brute_force(L, scale, shear):
     assert lt._short_vectors(sheared, 8, coords=False)[1] == dict(zip(*(a.tolist() for a in np.unique(norms, return_counts=True))))
 
 
-BLOCKS = (1, 2, 3, 20, 100, lt._BLOCK)
+BLOCKS = (1, 2, 3, 20, 100, gm._BLOCK)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -230,7 +231,7 @@ def test_short_vectors_are_block_invariant(L, bound):
         counts = dict(zip(*(a.tolist() for a in np.unique(norms, return_counts=True))))
         for block in BLOCKS:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(lt, "_BLOCK", block)
+                mp.setattr(gm, "_BLOCK", block)
                 got_rows, got_norms = lt._short_vectors(M, top)
                 assert np.array_equal(got_rows, rows) and np.array_equal(got_norms, norms), block
                 assert lt._short_vectors(M, top, coords=False) == (None, counts), block
@@ -247,7 +248,7 @@ def test_levels_cut_a_level_at_child_boundaries(n, width, block):
     naive = [(p, j) for p, count in enumerate(n) for j in range(count)]
     pairs = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lt, "_BLOCK", block)
+        mp.setattr(gm, "_BLOCK", block)
         levels = lt._Levels()
         levels.push(np.array(n, dtype=np.int64), width, np.arange(len(n)))
         while (taken := levels.take()) is not None:
@@ -431,8 +432,8 @@ def test_mul_trunc_refuses_negative_length():
 
 
 def test_det_is_computed_once(monkeypatch):
-    gram, calls, bareiss = lt.A(5).gram, [], lt._det_bareiss
-    monkeypatch.setattr(lt, "_det_bareiss", lambda g: calls.append(g) or bareiss(g))
+    gram, calls, bareiss = lt.A(5).gram, [], gm._det_bareiss
+    monkeypatch.setattr(gm, "_det_bareiss", lambda g: calls.append(g) or bareiss(g))
     a5 = lt.GramLattice(gram, "A5")
     assert (a5.det, repr(a5), lt.discriminant_group(a5).order) == (6, "GramLattice(A5, rank=5, det=6)", 6)
     assert lt.is_isometric(a5, a5) and a5.is_positive_definite
@@ -721,9 +722,25 @@ def test_cholesky_refuses_at_first_bad_minor(gram):
 def test_cholesky_checks_its_result(monkeypatch):
     # with no denominators cleared the floor divisions round, and the
     # product U^T diag(w) U no longer gives s G
-    monkeypatch.setattr(lt, "lcm", lambda *args: 1)
-    with pytest.raises(AssertionError, match="LDL"):
+    monkeypatch.setattr(gm, "lcm", lambda *args: 1)
+    with pytest.raises(AssertionError, match=r"^gram\.ldl_product: LDL"):
         lt._cholesky.__wrapped__(lt.E7().gram)
+
+
+@pytest.mark.parametrize(
+    "attr, wrong, call, name",
+    [
+        # a wrong product on the check's side only: the transforms are right
+        ("_mat_mul", lambda mat_mul: lambda a, b: [[x + 1 for x in row] for row in mat_mul(a, b)], lambda: lt.smith_normal_form([[2, 1], [1, 2]]), "snf_transform"),
+        # a wrong product of the invariant factors: the determinant is right
+        ("prod", lambda prod: lambda xs: prod(xs) + 1, lambda: lt.discriminant_group(lt.A(2)), "invariant_factor_product"),
+    ],
+    ids=["snf_transform", "invariant_factor_product"],
+)
+def test_normal_form_checks_fire(monkeypatch, attr, wrong, call, name):
+    monkeypatch.setattr(lt, attr, wrong(getattr(lt, attr)))
+    with pytest.raises(AssertionError, match=rf"^lattices\.{name}: "):
+        call()
 
 
 def _odd_twin(L):

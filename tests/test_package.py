@@ -82,7 +82,37 @@ def test_numpy_free_subcommands_do_not_load_numpy(tmp_path, argv):
     assert (got["code"], got["numpy"]) == (0, False)
     if argv[0] in ("orbits", "index"):
         # polarisation takes its factorisation from latq.arith
-        assert {"latq.siegel", "latq.lattices"}.isdisjoint(got["latq"]), got["latq"]
+        assert {"latq.siegel", "latq.lattices", "latq.gram"}.isdisjoint(got["latq"]), got["latq"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verdict", "--d", "12"],
+        ["e7-search", "--d", "12"],
+        ["inequality", "--coeff", "5", "--m-max", "40"],
+        ["siegel", "--form", "A5", "--t", "6", "--report"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_kodaira_and_siegel_subcommands_do_not_load_lattices(argv):
+    # they need only the lattice type and the Gram-matrix algebra of
+    # latq.gram; without a bytecode cache every module loaded is compiled
+    got = _cold(_RUN_CLI, *argv)
+    assert got["code"] == 0 and "latq.lattices" not in got["latq"], got["latq"]
+
+
+def test_kodaira_and_siegel_do_not_load_lattices():
+    code = """
+import json, sys
+from latq import kodaira, siegel
+kodaira.verdict(12)
+kodaira.inequality_check(10, 5)
+siegel.siegel_r("A5", 6)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("latq."))))
+"""
+    loaded = _cold(code)
+    assert "latq.gram" in loaded and "latq.lattices" not in loaded, loaded
 
 
 _RUN_CLI_SEQUENCE = """

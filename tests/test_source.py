@@ -1,6 +1,7 @@
 """Source-level guards on the latq package."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -45,8 +46,8 @@ def test_short_vector_walk_is_integer():
     # the Fincke-Pohst walk runs on the integer data of `_cholesky`, which
     # come from Bareiss minors; a Fraction in either would bring back the
     # rational walk or the rational LDL^T they replaced
-    tree = ast.parse((SRC / "lattices.py").read_text())
-    walks = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in ("_short_vectors", "enumerate_norm", "_cholesky")]
+    trees = [ast.parse((SRC / name).read_text()) for name in ("gram.py", "lattices.py")]
+    walks = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in ("_short_vectors", "enumerate_norm", "_cholesky")]
     assert len(walks) == 3
     for fn in walks:
         assert "Fraction" not in {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(fn)}
@@ -64,7 +65,7 @@ def test_short_vector_walk_is_not_recursive():
 def test_one_block_bound():
     # the depth-first kernels (the walk, the E7 shell search, the Weyl-orbit
     # tuples) share one block bound and one level stack: `_BLOCK` is assigned
-    # and `_Levels` defined in lattices alone, `_owners` is gone, and no
+    # and `_Levels` defined in gram alone, `_owners` is gone, and no
     # kernel cuts blocks of its own: none reads `_BLOCK`, calls
     # `searchsorted` or pops a stack, and each walks on `_Levels`
     assigned, defined, owners = set(), set(), set()
@@ -78,8 +79,8 @@ def test_one_block_bound():
                 defined.add(path.name)
             if "_owners" in {getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None)}:
                 owners.add(f"{path.name}:{node.lineno}")
-    assert assigned == {"lattices.py"}
-    assert defined == {"lattices.py"}
+    assert assigned == {"gram.py"}
+    assert defined == {"gram.py"}
     assert owners == set()
     for name, kernel in (("lattices.py", "_short_vectors"), ("kodaira.py", "_sorted_shells"), ("weyl.py", "_orthogonal_tuples")):
         tree = ast.parse((SRC / name).read_text())
@@ -141,7 +142,7 @@ def test_one_p_adic_counting_route():
 
 def test_one_matrix_product():
     # every integer matrix product, and so every congruence u^T g u, runs
-    # through `lattices._mat_mul`; a second product loop would be a second
+    # through `gram._mat_mul`; a second product loop would be a second
     # piece of exact linear algebra to keep right
     importers, users = set(), set()
     for path in sorted(SRC.glob("*.py")):
@@ -152,8 +153,8 @@ def test_one_matrix_product():
             if isinstance(node, ast.FunctionDef):
                 if "mul" in {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}:
                     users.add(f"{path.name}:{node.name}")
-    assert importers == {"lattices.py"}
-    assert users == {"lattices.py:_mat_mul"}
+    assert importers == {"gram.py"}
+    assert users == {"gram.py:_mat_mul"}
 
 
 def _module_level(node):
@@ -183,10 +184,10 @@ def test_numpy_is_imported_where_it_runs():
 
 def test_density_oracle_names_no_closed_form():
     # the counting oracle certifies the closed-form densities, so no function
-    # it reaches in siegel.py, or in the arith.py and lattices.py helpers
-    # siegel imports, may name one of them or the factorisation
+    # it reaches in siegel.py, or in the arith.py, gram.py and lattices.py
+    # helpers siegel imports, may name one of them or the factorisation
     functions = {}
-    for name in ("arith.py", "lattices.py", "siegel.py"):
+    for name in ("arith.py", "gram.py", "lattices.py", "siegel.py"):
         tree = ast.parse((SRC / name).read_text())
         functions.update({node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)})
 
@@ -204,6 +205,21 @@ def test_density_oracle_names_no_closed_form():
     offenders = {fn: sorted(n for n in names(functions[fn]) if n in closed or n.startswith("alpha2_")) for fn in sorted(reached)}
     assert {fn: bad for fn, bad in offenders.items() if bad} == {}
     assert {"jordan_split", "_ord", "_check_prime_level", "_congruent", "_det_bareiss", "_mat_mul"} <= reached
+
+
+def test_every_cache_is_bound_where_the_benchmark_resets_caches():
+    # perfbench's reset_latq_caches empties the functools caches it finds
+    # bound by name in these namespaces (its MODULES); a cache bound only
+    # elsewhere would stay warm from one benchmark round into the next
+    reset = [vars(importlib.import_module(f"latq.{name}")) for name in ("lattices", "qseries", "siegel", "polarisation", "kodaira", "weyl", "cli")]
+    cached = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("latq" if path.stem == "__init__" else f"latq.{path.stem}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_clear", None)) and obj.__module__ == module.__name__:
+                cached[f"{path.stem}.{name}"] = obj
+    assert "gram._theta_e7_table" in cached and "lattices._model_counts" in cached
+    assert sorted(key for key, fn in cached.items() if not any(ns.get(fn.__name__) is fn for ns in reset)) == []
 
 
 def test_caches_decorate_module_level_functions():

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latq import gram as gm
 from latq import lattices as lt, weyl
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -325,6 +326,7 @@ def test_orbit_summary_does_no_per_object_python_work(monkeypatch, kind):
     e8 = lt.E8()
     expected = weyl.orbit_summary(e8, kind)
     weyl.orbit_summary.cache_clear()
+    monkeypatch.setattr(gm, "inner", refuse)
     monkeypatch.setattr(lt, "inner", refuse)
     monkeypatch.setattr(weyl, "inner", refuse, raising=False)
     assert weyl.orbit_summary(e8, kind) == expected
@@ -491,7 +493,7 @@ print(json.dumps((high_water_kb() - before) / 1024))
 
 # blocks of 1, 2 and 3 array entries extend one tuple by one root at a time,
 # 20 and 100 by a few roots at a time
-BLOCKS = (1, 2, 3, 20, 100, lt._BLOCK)
+BLOCKS = (1, 2, 3, 20, 100, gm._BLOCK)
 
 
 @pytest.mark.parametrize("name, sizes", [("A5", (2, 4)), ("D6", (2, 4)), ("E7", (2, 4)), ("A1+D4", (2, 4)), ("E8", (2,))])
@@ -508,8 +510,8 @@ def test_orthogonal_tuples_match_combinations(monkeypatch, name, sizes):
             ok &= gram[combos[:, a], combos[:, b]] == 0
         blocks = {}
         for block in BLOCKS:
-            # the level stack reads the bound from lattices
-            monkeypatch.setattr(lt, "_BLOCK", block)
+            # the level stack reads the bound from gram
+            monkeypatch.setattr(gm, "_BLOCK", block)
             takes.clear()
             got = weyl._orthogonal_tuples(gram, size)
             assert got.dtype == np.uint8 and got.tolist() == combos[ok].tolist(), (size, block)
