@@ -13,10 +13,11 @@ arithmetic:
     forms handled here (sum of five squares, A1+D4, A5),
   * a definitional counting oracle: block-diagonalize the form over Z_p with
     an exact unimodular transform and count solutions of S(X) = t mod p^a:
-    each block's value counts by a split x = x0 + p^ceil(a/2) z (a bincount
-    over p^(ceil(a/2) k) points), convolved as functions on the O(a) square
-    classes {u^2 v} of Z/p^a, with stabilization checking; a form key is
-    read as its S-matrix, and the counts are memoised per (S-matrix, p, a),
+    each distinct block's value counts by a split x = x0 + p^ceil(a/2) z (a
+    bincount over p^(ceil(a/2) k) points), convolved as functions on the
+    O(a) square classes {u^2 v} of Z/p^a, with stabilization checking; a
+    form key is read as its S-matrix, and the counts are memoised per
+    (S-matrix, p, a),
   * the assembled representation numbers r(t) with two independent routes
     (exact Cohen-number route, numeric L-value route) that must agree.
 
@@ -24,15 +25,16 @@ Every factorisation in latq (square-free kernels, divisors, Moebius, and
 the polarisation counts) is read off the one trial division
 `arith._factor`, and every integer p-adic valuation is `arith._ord`.  The
 numeric L-value route factors no n: it tabulates b_n for all n at once over
-a prime sieve, with the Legendre symbols of every prime from one
-Euler-criterion pass on arrays, and its enclosure is memoised per
-(delta, terms), so each discriminant builds one table however many t share
-it.  The Cohen route's generalized Bernoulli numbers come from integer power
-sums sum_a chi(a) a^j, with rationals only in the final n + 1 terms.
-Neither memo nor power sums factor anything.  The counting oracle factors
-nothing either, so it stays independent of the closed forms it certifies.
-The oracle's Jordan split is verified on integer matrices, each scaled by
-one common denominator.
+a prime sieve, with the Legendre symbols (delta/p) of every prime from one
+Euler-criterion pass on arrays, not from `kronecker`, so that for p not
+dividing delta it checks the Cohen route's chi_D rather than sharing it.
+Its enclosure is memoised per (delta, terms), so each discriminant builds
+one table however many t share it.  The Cohen route's generalized
+Bernoulli numbers come from integer power sums sum_a chi(a) a^j, with
+rationals only in the final n + 1 terms.  Neither memo nor power sums
+factor anything.  The counting oracle factors nothing either, so it stays
+independent of the closed forms it certifies.  The oracle's Jordan split is
+verified on integer matrices, each scaled by one common denominator.
 
 Densities are normalized as limits of p^{-a(m-1)} #{X mod p^a : S(X) = t}.
 """
@@ -225,34 +227,53 @@ def _large_prime_index(terms: int) -> np.ndarray:
     n, else -1, for 0 <= n <= terms, as a read-only int32 array.
 
     n <= terms has at most one prime factor p with p^2 > terms, and p || n,
-    so one index per n says all that the large primes contribute to b_n.
+    so one index per n says all that the large primes contribute to b_n, and
+    the multiples k * p (1 <= k <= terms // p) of all the large primes are
+    written by one scatter, with no two writes to the same n.
     """
     import numpy as np
 
+    large = _primes_upto(terms)[_small_prime_count(terms) :]
+    counts = terms // large
+    owner = np.repeat(np.arange(large.size, dtype=np.int32), counts)
+    k = np.arange(1, owner.size + 1) - np.repeat(np.cumsum(counts) - counts, counts)
     big = np.full(terms + 1, -1, dtype=np.int32)
-    for i, p in enumerate(_primes_upto(terms)[_small_prime_count(terms) :].tolist()):
-        big[p::p] = i
+    big[k * large[owner]] = owner
     big.flags.writeable = False
     return big
 
 
 def _legendre(residues: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """(r/p) for increasing primes p and 0 <= r < p, all at once by Euler's
-    criterion r^((p-1)/2) = (r/p) mod p, by square-and-multiply on arrays.
-    The entry at p = 2 means nothing.
+    criterion r^((p-1)/2) = (r/p) mod p, as an int64 array.  The entry at
+    p = 2 means nothing.
 
-    Every product is below p^2, so p^2 must fit int64.
+    Left-to-right square-and-multiply, in place: the bits of every exponent
+    (p - 1)/2 are boolean planes, most significant first, and plane i
+    multiplies by r where it is set and by 1 elsewhere (a shorter exponent
+    squares 1 until its leading bit).  Every product is below p^2, so the
+    ladder runs in uint32 while p < 2^16 and in uint64 otherwise, and p^2
+    must stay below 2^63.
     """
     import numpy as np
 
-    if primes.size and int(primes[-1]) ** 2 >= 2**63:
-        raise ValueError("Euler's criterion on int64 needs p^2 < 2^63")
-    power, base, e = np.ones_like(residues), residues, (primes - 1) // 2
-    while e.any():
-        power = np.where(e & 1, power * base % primes, power)
-        base = base * base % primes
-        e = e >> 1
-    return np.where(power == primes - 1, -1, power)
+    top = int(primes[-1]) if primes.size else 0
+    if top * top >= 2**63:
+        raise ValueError("Euler's criterion on int64 primes needs p^2 < 2^63")
+    dtype = np.uint32 if top < 2**16 else np.uint64
+    p, r = primes.astype(dtype), residues.astype(dtype)
+    bits = dtype(1) << np.arange((top // 2).bit_length() - 1, -1, -1, dtype=dtype)[:, None]
+    planes = (((p - 1) >> 1) & bits) != 0
+    bases = planes * r + ~planes  # r where the bit is set, 1 elsewhere
+    power = np.ones_like(p)
+    for base in bases:
+        power *= power
+        power %= p
+        power *= base
+        power %= p
+    symbols = power.astype(np.int64)
+    symbols[power == p - 1] = -1
+    return symbols
 
 
 def _b_table(delta: int, terms: int) -> np.ndarray:
@@ -262,16 +283,18 @@ def _b_table(delta: int, terms: int) -> np.ndarray:
     `_sqrt_count_mod_pp(delta, p, e)`.  For an odd p not dividing delta the
     count is 1 + (delta/p) at every exponent (Hensel), and the symbols of
     all primes p <= terms come from one Euler-criterion pass over delta mod
-    p, reduced on Python ints so that any |delta| is exact.  So:
+    p.  delta is reduced on int64 when |delta| < 2^63 and on Python ints
+    otherwise, so any |delta| is exact.  So:
 
+      * the large primes (p^2 > terms) divide each n at most once and at
+        most one of them divides n, so the table starts as one gather of
+        1 + (delta/p) through `_large_prime_index`.  A large p | delta has
+        count 1 = 1 + 0;
       * 2 and the odd p | delta with p^2 <= terms multiply the multiples of
         p by their count at the exponent of p in 4n (the odd n by the
         2-adic count at 2^2);
       * the other odd p with p^2 <= terms multiply every multiple of p by
-        1 + (delta/p), one slice each;
-      * the large primes (p^2 > terms) divide each n at most once and at
-        most one of them divides n, so they act by one gather through
-        `_large_prime_index`.  A large p | delta has count 1 = 1 + 0.
+        1 + (delta/p), one slice each.
 
     A local count at p^e is at most p^e, so every entry and partial product
     is at most 4 * terms: int64 is exact.
@@ -280,9 +303,13 @@ def _b_table(delta: int, terms: int) -> np.ndarray:
 
     primes = _primes_upto(terms)
     small = _small_prime_count(terms)
-    residues = (delta % primes.astype(object)).astype(np.int64)
+    if -(2**63) < delta < 2**63:
+        residues = np.int64(delta) % primes
+    else:
+        residues = (delta % primes.astype(object)).astype(np.int64)
     loc = 1 + _legendre(residues, primes)
-    h = np.ones(terms + 1, dtype=np.int64)
+    # index -1 (no large prime factor) picks the trailing 1
+    h = np.append(loc[small:], 1)[_large_prime_index(terms)]
     h[0] = 0
     h[1::2] *= _sqrt_count_mod_pp(delta, 2, 2)
     for p, r, c in zip(primes[:small].tolist(), residues[:small].tolist(), loc[:small].tolist()):
@@ -298,8 +325,6 @@ def _b_table(delta: int, terms: int) -> np.ndarray:
             q *= p
             e += 1
         h[p::p] *= local
-    # index -1 (no large prime factor) picks the trailing 1
-    h *= np.append(loc[small:], 1)[_large_prime_index(terms)]
     return h // 2
 
 
@@ -319,13 +344,14 @@ def zagier_L_numeric(delta: int, terms: int = 20000):
 
     The b_n come from `_b_table`, which reads them off Euler's criterion
     over a prime sieve and factors no n.  The partial sum is the last entry
-    of `np.cumsum` of b_n / n^2 over the n with b_n != 0: add.accumulate adds
-    left to right, so the float is the one a loop over increasing n gives,
-    bit for bit (each term is the correctly rounded quotient, as n^2 < 2^53
-    is exact).  np.sum (pairwise), math.fsum and, from Python 3.12, the
-    builtin sum (compensated) would each change the last bits, and with them
-    the L2_bounds of `siegel --report`.  The tail is bounded through
-    b_n <= 2 * 2^omega(n) * sqrt|delta|.
+    of `np.cumsum` of b_n / n^2 over the n with b_n != 0, taken from the
+    mask `table != 0` (nonzero on a bool array is several times faster than
+    on int64): add.accumulate adds left to right, so the float is the one a
+    loop over increasing n gives, bit for bit (each term is the correctly
+    rounded quotient, as n^2 < 2^53 is exact).  np.sum (pairwise),
+    math.fsum and, from Python 3.12, the builtin sum (compensated) would each
+    change the last bits, and with them the L2_bounds of `siegel --report`.
+    The tail is bounded through b_n <= 2 * 2^omega(n) * sqrt|delta|.
     """
     import numpy as np
 
@@ -336,7 +362,7 @@ def zagier_L_numeric(delta: int, terms: int = 20000):
     if terms < 1:
         raise ValueError("terms must be positive")
     table = _b_table(delta, terms)
-    nz = np.flatnonzero(table)
+    nz = (table != 0).nonzero()[0]
     partial = float(np.cumsum(table[nz] / nz.astype(np.float64) ** 2)[-1])
     # sum_{n>N} d(n) n^-2 <= (2 ln N + 3.7) / N  (see module tests)
     tail_d = (2 * math.log(terms) + 3.7) / terms
@@ -731,25 +757,26 @@ def _square_classes(p: int, a: int):
 
     Class 0 is {0}; then, for v = p^j w by increasing j, the square class
     of the unit w mod p (2a + 1 classes for odd p), or w mod min(8, 2^(a-j))
-    (4a - 4 classes for p = 2, a >= 2).  Returns the label of every residue
-    and the smallest member and the size of every class.
+    (4a - 4 classes for p = 2, a >= 2).  Level j labels every multiple
+    p^j w, w = 1..p^(a-j) - 1, through one strided slice; the multiples of
+    p^(j+1) among them are labelled again at level j + 1.  Returns the label
+    of every residue and the smallest member and the size of every class.
     """
     import numpy as np
 
-    v = np.arange(p**a, dtype=np.int64)
     labels = np.zeros(p**a, dtype=np.int64)
+    w = np.arange(1, p**a, dtype=np.int64)
     nonsquare = np.ones(p, dtype=bool)
     nonsquare[np.arange(1, p) ** 2 % p] = False
     first = 1
     for j in range(a):
-        sel = (v % p**j == 0) & (v % p ** (j + 1) != 0)
-        w = v[sel] // p**j
+        units = w[: p ** (a - j) - 1]
         if p == 2:
             r = min(8, 2 ** (a - j))  # the only unit square mod r is 1
-            labels[sel] = first + w % r // 2
+            labels[p**j :: p**j] = first + units % r // 2
             first += r // 2
         else:
-            labels[sel] = first + nonsquare[w % p]
+            labels[p**j :: p**j] = first + nonsquare[units % p]
             first += 2
     labels.flags.writeable = False  # shared by every caller through the cache
     # every class is nonempty; a stable sort keeps each class's smallest member first
@@ -761,14 +788,16 @@ def _square_classes(p: int, a: int):
 @lru_cache(maxsize=32)
 def _class_constants(p: int, a: int) -> tuple:
     """Row k: the (i, j, n) with n = #{w in C_i : v_k - w in C_j} > 0, v_k
-    the smallest member of class k, so (f * g)(v_k) = sum n f_i g_j."""
+    the smallest member of class k, so (f * g)(v_k) = sum n f_i g_j.
+    labels[(v - w) mod p^a] over w = 0, 1, ... is the reversed labels
+    rolled by v + 1."""
     import numpy as np
 
     labels, reps, _ = _square_classes(p, a)
-    n_cls, w = len(reps), np.arange(p**a, dtype=np.int64)
+    n_cls, reverse = len(reps), labels[::-1]
     rows = []
     for v in reps:
-        pairs = np.bincount(labels * n_cls + labels[(v - w) % p**a], minlength=n_cls**2)
+        pairs = np.bincount(labels * n_cls + np.roll(reverse, v + 1), minlength=n_cls**2)
         nz = np.flatnonzero(pairs)
         rows.append(tuple(zip((nz // n_cls).tolist(), (nz % n_cls).tolist(), pairs[nz].tolist())))
     return tuple(rows)
@@ -777,25 +806,26 @@ def _class_constants(p: int, a: int) -> tuple:
 def _block_counts(blocks, p: int, a: int) -> list:
     """Value counts mod p^a of the orthogonal sum of the blocks, one per square class.
 
-    Each block's histogram must be constant on the classes; the class
+    Each distinct block is counted once per call (S5 is five equal <1>
+    blocks), and its histogram must be constant on the classes; the class
     functions are convolved through `_class_constants` in exact Python
     integers, and after each block the total sum |C_k| h_k must be
-    p^(a * rank).
+    p^(a * rank).  No input can break either check: they guard the tables.
     """
     import numpy as np
 
     labels, reps, sizes = _square_classes(p, a)
-    acc, rank = None, 0
+    counted, acc, rank = {}, None, 0
     for blk in blocks:
-        hist = _block_distribution(blk, p, a)
-        vec = hist[list(reps)]
-        if not np.array_equal(hist, vec[labels]):
-            raise ValueError(f"histogram mod {p}^{a} is not constant on the square classes")
-        vec = vec.tolist()
+        if blk not in counted:
+            hist = _block_distribution(blk, p, a)
+            vec = hist[list(reps)]
+            _cross_check(np.array_equal(hist, vec[labels]), "siegel.class_constant_histogram", f"histogram mod {p}^{a} is not constant on the square classes")
+            counted[blk] = vec.tolist()
+        vec = counted[blk]
         acc = vec if acc is None else [sum(n * acc[i] * vec[j] for i, j, n in row) for row in _class_constants(p, a)]
         rank += len(blk)
-        if sum(s * h for s, h in zip(sizes, acc)) != p ** (a * rank):
-            raise ValueError(f"counts mod {p}^{a} do not add up to {p}^({a}*{rank})")
+        _cross_check(sum(s * h for s, h in zip(sizes, acc)) == p ** (a * rank), "siegel.class_count_total", f"counts mod {p}^{a} do not add up to {p}^({a}*{rank})")
     return acc
 
 

@@ -247,6 +247,33 @@ def test_legendre_needs_p_squared_in_int64():
         sg._legendre(np.array([1], dtype=np.int64), np.array([q], dtype=np.int64))
 
 
+def test_legendre_does_not_call_kronecker(monkeypatch):
+    # the numeric route's symbols check the Cohen route, whose chi_D is
+    # kronecker: a fault in kronecker must not reach Euler's criterion
+    deltas = (-4 * 19997, 5, 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23, 2**64 + 5)
+    expected = {delta: [sg.kronecker(delta, p) for p in _ODD_PRIMES.tolist()] for delta in deltas}
+
+    def refuse(a, n):
+        raise AssertionError("_legendre called kronecker")
+
+    monkeypatch.setattr(sg, "kronecker", refuse)
+    for delta in deltas:
+        residues = (delta % _ODD_PRIMES.astype(object)).astype(np.int64)
+        assert sg._legendre(residues, _ODD_PRIMES).tolist() == expected[delta], delta
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4, 8, 9, 10, 97, 1000, 20000])
+def test_large_prime_index_matches_a_loop_over_the_primes(terms):
+    primes = sg._primes_upto(terms).tolist()
+    large = [p for p in primes if p * p > terms and p != 2]
+    big = [-1] * (terms + 1)
+    for i, p in enumerate(large):
+        for n in range(p, terms + 1, p):
+            big[n] = i
+    got = sg._large_prime_index(terms)
+    assert got.tolist() == big and got.dtype == np.int32 and not got.flags.writeable
+
+
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(st.integers(-(10**6), 10**6).filter(lambda d: d != 0 and d % 4 in (0, 1)), st.integers(501, 5000))
 def test_b_table_matches_b_n_on_longer_tables(delta, terms):
@@ -260,6 +287,12 @@ def test_b_table_beyond_int64():
     assert table == [b_n(delta, n) for n in range(3001)]
 
 
+@pytest.mark.parametrize("delta", [2**63 - 3, 1 - 2**63, 2**63 + 1, -(2**63) - 3])
+def test_b_table_on_both_sides_of_int64(delta):
+    # |delta| < 2^63 is reduced modulo the primes on int64, larger on Python ints
+    assert sg._b_table(delta, 3000).tolist() == [b_n(delta, n) for n in range(3001)]
+
+
 @pytest.mark.parametrize("delta, terms", [(1, 1), (-3, 2), (5, 97), (-24, 1000), (420, 20000), (-(2**64) - 3, 5000)])
 def test_partial_sum_adds_left_to_right(delta, terms):
     partial = 0.0
@@ -268,6 +301,21 @@ def test_partial_sum_adds_left_to_right(delta, terms):
             partial += bn / n**2
     lo, _ = sg.zagier_L_numeric(delta, terms=terms)
     assert lo == sg.ZETA4 / sg.ZETA2 * partial
+
+
+# sha256 of repr((delta, zagier_L_numeric(delta))), concatenated, for every
+# discriminant 0 < |delta| <= 1000 and three beyond 2^63, as the int64
+# square-and-multiply pass over Python-int residues computed them
+L_NUMERIC_SHA256 = "56e41ada9346663be1a3b4af4e8f9ebd964e0bc581753ea15d41295dc848265f"
+
+
+def test_numeric_enclosures_are_pinned():
+    deltas = [d for d in range(-1000, 1001) if d and d % 4 in (0, 1)] + [2**63 + 1, -(2**64) - 3, 7**40]
+    sg.zagier_L_numeric.cache_clear()
+    digest = hashlib.sha256()
+    for delta in deltas:
+        digest.update(repr((delta, sg.zagier_L_numeric(delta))).encode())
+    assert len(deltas) == 1003 and digest.hexdigest() == L_NUMERIC_SHA256
 
 
 # sha256 of the `siegel --report` envelopes for t = 1..120, concatenated,
@@ -662,6 +710,35 @@ def test_square_classes_list_smallest_members_and_sizes(p, a):
     assert sizes == tuple(labels.count(k) for k in range(len(sizes)))
 
 
+# sha256 of repr((p, a, labels, reps, sizes, _class_constants(p, a))),
+# concatenated over the levels below, as the modulo masks over all p^a
+# residues computed them
+CLASS_TABLES_SHA256 = "425cb0302de2052b6fe1edfb5c877fbce4e3c302390069e4adc57e8072358d2b"
+
+
+def test_class_tables_are_pinned():
+    sg._square_classes.cache_clear()
+    sg._class_constants.cache_clear()
+    digest = hashlib.sha256()
+    for p, top in ((2, 12), (3, 8), (5, 6), (7, 5)):
+        for a in range(1, top + 1):
+            labels, reps, sizes = sg._square_classes(p, a)
+            digest.update(repr((p, a, labels.tolist(), reps, sizes, sg._class_constants(p, a))).encode())
+    assert digest.hexdigest() == CLASS_TABLES_SHA256
+
+
+def test_block_counts_count_each_distinct_block_once(monkeypatch):
+    counted = []
+    honest = sg._block_distribution
+    monkeypatch.setattr(sg, "_block_distribution", lambda block, p, a: counted.append(block) or honest(block, p, a))
+    for key in ("S5", "A5"):
+        blocks = sg._blocks_for(sg.FORMS[key].s_matrix, 3)
+        counted.clear()
+        sg._block_counts(blocks, 3, 4)
+        assert sorted(counted) == sorted(set(blocks)), key
+    assert len(set(sg._blocks_for(sg.FORMS["S5"].s_matrix, 3))) == 1
+
+
 def test_class_convolution_refuses_bad_histograms(monkeypatch):
     blocks = sg._blocks_for(sg.FORMS["A5"].s_matrix, 3)
     honest = sg._block_distribution
@@ -674,10 +751,10 @@ def test_class_convolution_refuses_bad_histograms(monkeypatch):
         return hist
 
     monkeypatch.setattr(sg, "_block_distribution", off_class)
-    with pytest.raises(ValueError, match="not constant on the square classes"):
+    with pytest.raises(AssertionError, match=r"^siegel\.class_constant_histogram: "):
         sg._block_counts(blocks, 3, 3)
     monkeypatch.setattr(sg, "_block_distribution", lambda block, p, a: 2 * honest(block, p, a))
-    with pytest.raises(ValueError, match="do not add up"):
+    with pytest.raises(AssertionError, match=r"^siegel\.class_count_total: "):
         sg._block_counts(blocks, 3, 3)
 
 
@@ -722,6 +799,40 @@ def test_reports_carry_a_checked_enclosure():
             lo, hi = rep.l_value_bounds
             assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi, (key, t)
             assert rep.routes_agree
+
+
+@pytest.mark.parametrize(
+    "attr, wrong, name",
+    [
+        # 5 does not divide 2 t |A| = 64
+        ("discriminant_of", lambda _: lambda form, t: sg.ZagierDiscriminant(5, 5, 1), "square_cofactor"),
+        ("cohen_H", lambda honest: lambda m1, delta: -honest(m1, delta), "cohen_sign"),
+        ("local_factor", lambda honest: lambda form, p, t: honest(form, p, t) / 7, "integral_r"),
+        ("zagier_L_numeric", lambda honest: lambda delta: tuple(2 * x for x in honest(delta)), "routes_agree"),
+    ],
+)
+def test_siegel_r_checks_fire(monkeypatch, attr, wrong, name):
+    # each patch moves one side of one comparison; the other side stays honest
+    assert sg.siegel_r("S5", 1).r == 10
+    monkeypatch.setattr(sg, attr, wrong(getattr(sg, attr)))
+    with pytest.raises(AssertionError, match=rf"^siegel\.{name}: "):
+        sg.siegel_r("S5", 1)
+
+
+def test_exact_route_guards_the_b_table(capsys, monkeypatch):
+    # a wrong b_n table reaches the CLI as exit 3, not as a wrong answer
+    from latq import cli
+
+    honest = sg._b_table
+    monkeypatch.setattr(sg, "_b_table", lambda delta, terms: 2 * honest(delta, terms))
+    sg.zagier_L_numeric.cache_clear()
+    try:
+        code = cli.main(["siegel", "--form", "S5", "--t", "1"])
+    finally:
+        sg.zagier_L_numeric.cache_clear()
+    out = capsys.readouterr()
+    assert (code, out.out) == (cli.CROSSCHECK_FAILED, "")
+    assert out.err.startswith("internal cross-check failure: siegel.routes_agree: "), out.err
 
 
 def test_traced_parameter_names():
