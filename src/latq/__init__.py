@@ -78,7 +78,6 @@ _EXPORTS = {
             "theta3_shifted",
             "theta_A",
             "theta_D",
-            "theta_by_enumeration",
         ),
         "qseries",
     ),

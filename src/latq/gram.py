@@ -27,8 +27,7 @@ class GramLattice:
     """An integral lattice presented by a symmetric Gram matrix.
 
     ``gram`` is a tuple-of-tuples of integers; ``label`` records how the
-    lattice was built (for display, and to propose a counting model, which
-    is used only if the label rebuilds ``gram`` exactly).
+    lattice was built, for display only: no computation reads it.
     """
 
     gram: tuple

@@ -376,19 +376,19 @@ def _theta_tables(prec: int):
     return d6, a1d4, a5
 
 
-def inequality_check(m: int, coefficient: int, prec: int = 128):
+def inequality_check(m: int, coefficient: int):
     """Slack of coefficient*N_{D6}(2m) - 30 N_{A1+D4}(2m) - 16 N_{A5}(2m).
 
     Returns (holds, slack) with holds = (slack > 0).  The coefficient at m
     is the same at every precision above m, so the tables are built at the
-    least power of two >= 128 that covers both m and prec: a scan to m_max
-    builds O(log m_max) of them.
+    least power of two >= 128 that covers m: a scan to m_max builds
+    O(log m_max) of them.
     """
     if coefficient not in (5, 6):
         raise ValueError("coefficient must be 5 or 6")
     if m < 1:
         raise ValueError("m must be positive")
-    d6, a1d4, a5 = _theta_tables(1 << (max(prec, m + 1, 128) - 1).bit_length())
+    d6, a1d4, a5 = _theta_tables(1 << (max(m + 1, 128) - 1).bit_length())
     slack = coefficient * d6[m] - 30 * a1d4[m] - 16 * a5[m]
     return slack > 0, slack
 

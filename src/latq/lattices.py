@@ -12,11 +12,12 @@ roots are corrected to exact integer ones.
 
 Vector counts of the standard root lattices come from Z^k coordinate models
 (one dynamic-programming kernel; direct sums multiply their counts with the
-exact product `arith._mul_trunc`).  A model is chosen by structure: the
-lattice's label must rebuild its Gram matrix exactly.  The counts leave
-int64 for Python integers before they could overflow, so they are exact at
-any size.  The theta series of E7 and E8 also have closed forms, in `gram`,
-from classical identities that share no code with the models.
+exact product `arith._mul_trunc`).  The Gram matrix alone chooses a model:
+each of its orthogonal diagonal blocks must be the Gram matrix of an atom
+exactly, and the label is never read.  The counts leave int64 for Python
+integers before they could overflow, so they are exact at any size.  The
+theta series of E7 and E8 also have closed forms, in `gram`, from
+classical identities that share no code with the models.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def standard_lattice(name: str) -> GramLattice:
 
 def hyperkahler_lattice(t: int) -> GramLattice:
     """The signature (3,20) lattice 3U + 2E8(-1) + <-2t>."""
-    return standard_lattice(f"3U+2E8(-1)+<{-2 * t}>")
+    return direct_sum(U(), U(), U(), rescale(E8(), -1), rescale(E8(), -1), span(-2 * t))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +208,9 @@ def enumerate_norm(L: GramLattice, n: int):
 def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
     """Number of lattice vectors of norm n.
 
-    ``method='auto'`` uses the exact counting models when the lattice is,
-    by its Gram matrix, the standard construction its label names (A_n, D_n,
-    E7, even <k> and their direct sums), and Fincke-Pohst otherwise;
+    ``method='auto'`` uses the exact counting models when the Gram matrix is
+    a block-diagonal sum of the standard Gram matrices of A_n, D_n, E7 and
+    even <k> (whatever the label says), and Fincke-Pohst otherwise;
     ``method='fincke-pohst'`` forces the generic walk, which counts norms
     without building the vectors; only the walk loads numpy.  Counts are
     exact Python integers, also past int64.  A lattice that is not positive
@@ -222,7 +223,7 @@ def rep_count(L: GramLattice, n: int, method: str = "auto") -> int:
     if n == 0:
         return 1
     if method == "auto":
-        counts = _model_counts(L, n // 2 + 1) if L.is_even else None
+        counts = _model_counts(L.gram, n // 2 + 1) if L.is_even else None
         if counts is not None:
             return counts[n // 2] if n % 2 == 0 else 0
     elif method not in ("fincke-pohst",):
@@ -240,9 +241,10 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
 
     This is the coefficient list of the theta series on the integer exponent
     grid, obtained by exhaustive counting: dynamic programming over a Z^k
-    coordinate model, without numpy, when the Gram matrix is that of the
-    standard construction the label names, otherwise the Fincke-Pohst walk,
-    which counts the norms of each block of vectors without keeping them.
+    coordinate model, without numpy, when each orthogonal block of the Gram
+    matrix is a standard atom (as in `rep_count`), otherwise the
+    Fincke-Pohst walk, which counts the norms of each block of vectors
+    without keeping them.
     Coefficients are exact Python integers, also past int64.
     """
     if not L.is_even:
@@ -250,7 +252,7 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
     if prec < 0:
         raise ValueError("prec must be non-negative")
     if method == "auto":
-        c = _model_counts(L, max(prec, 1))
+        c = _model_counts(L.gram, max(prec, 1))
         if c is not None:
             return list(c[:prec])
     elif method not in ("fincke-pohst",):
@@ -263,38 +265,33 @@ def theta_counts(L: GramLattice, prec: int, method: str = "auto"):
 
 
 @lru_cache(maxsize=64)
-def _model_counts(L: GramLattice, prec: int):
+def _model_counts(gram: tuple, prec: int):
     """Vector counts by half-norm from the Z^k coordinate models, or None.
 
-    A model is used only when ``L.label`` names a standard construction whose
-    Gram matrix is exactly ``L.gram``; the label alone is never trusted.
+    The Gram matrix is cut into its contiguous orthogonal diagonal blocks,
+    and each block must have a model (`_atom_counts`); the counts of a
+    direct sum are the product of its blocks' counts.
     """
-    try:
-        std = standard_lattice(L.label)
-    except ValueError:
-        return None
-    if std.gram != L.gram:
-        return None
-    acc = [1]
-    for part in std.label.split("+"):
-        c = _atom_counts(part, prec)
+    acc, start, n = [1], 0, len(gram)
+    while start < n:
+        # the block grows until no row in it reaches past its end
+        end = start + 1
+        while any(gram[i][j] for i in range(start, end) for j in range(end, n)):
+            end += 1
+        c = _atom_counts(tuple(row[start:end] for row in gram[start:end]), prec)
         if c is None:
             return None
         acc = _mul_trunc(acc, c, prec)
+        start = end
     return tuple(acc)
 
 
-def _atom_counts(label: str, prec: int):
-    if label == "U" or "(" in label:
-        return None
-    if label.startswith("A") and label[1:].isdigit():
-        return counts_sum_zero(int(label[1:]) + 1, prec)
-    if label.startswith("D") and label[1:].isdigit():
-        return counts_even_sum(int(label[1:]), prec)
-    if label == "E7":
-        return counts_e7(prec)
-    if label.startswith("<") and label.endswith(">"):
-        k = int(label[1:-1])
+def _atom_counts(block: tuple, prec: int):
+    """The counts of one block by its model, or None: the block must be
+    exactly the Gram matrix of A_n, D_n or E7, or a 1x1 even <k>, k > 0."""
+    n = len(block)
+    if n == 1:
+        k = block[0][0]
         if k <= 0 or k % 2:
             return None
         c = [0] * prec
@@ -304,6 +301,12 @@ def _atom_counts(label: str, prec: int):
                 break
             c[half] += 1 if x == 0 else 2
         return c
+    if block == A(n).gram:
+        return counts_sum_zero(n + 1, prec)
+    if block == D(n).gram:
+        return counts_even_sum(n, prec)
+    if block == E7().gram:
+        return counts_e7(prec)
     return None
 
 
@@ -405,10 +408,9 @@ def orthogonal_complement(L: GramLattice, vectors) -> GramLattice:
     """Gram matrix of the saturated sublattice orthogonal to the given
     (linearly independent) vectors."""
     vecs = [tuple(int(c) for c in getattr(v, "coords", v)) for v in vectors]
-    n = L.rank
-    m = [[sum(L.gram[i][j] * v[j] for j in range(n)) for i in range(n)] for v in vecs]
-    kern = integer_kernel(m)
-    if len(kern) != n - len(vecs):
+    # the rows v^T G (G is symmetric)
+    kern = integer_kernel(_mat_mul(vecs, L.gram))
+    if len(kern) != L.rank - len(vecs):
         raise ValueError("vectors are linearly dependent")
     # K G once, then (K G) K^t: k n^2 + k^2 n products
     g = _congruent(L.gram, list(zip(*kern)))
@@ -880,35 +882,17 @@ class DiscriminantGroup:
 
 
 def discriminant_group(L: GramLattice) -> DiscriminantGroup:
-    g = [list(r) for r in L.gram]
-    n = L.rank
-    dmat, ut, v = smith_normal_form(g)
-    dets = abs(L.det)
-    facs = []
-    gens = []
-    for i in range(n):
-        d = dmat[i][i]
-        if d in (1, -1):
+    dmat, _, v = smith_normal_form(L.gram)
+    facs, gens = [], []
+    for i in range(L.rank):
+        d = abs(dmat[i][i])
+        if d == 1:
             continue
-        d = abs(d)
         # generator: G * (V e_i) = d * (Ut^{-1} e_i)  =>  (V e_i)/d lies in the dual
-        col = [Fraction(v[r][i], d) for r in range(n)]
         facs.append(d)
-        gens.append(tuple(col))
-    _cross_check(prod(facs) == dets, "lattices.invariant_factor_product", "invariant factor product mismatch")
-    qv = []
-    for gvec in gens:
-        val = _bilinear_fraction(g, gvec, gvec) % 2
-        qv.append(val)
-    bm = []
-    for a in gens:
-        row = []
-        for b in gens:
-            row.append(_bilinear_fraction(g, a, b) % 1)
-        bm.append(tuple(row))
-    return DiscriminantGroup(tuple(facs), tuple(gens), tuple(qv), tuple(bm))
-
-
-def _bilinear_fraction(g, a, b) -> Fraction:
-    n = len(g)
-    return sum(a[i] * g[i][j] * b[j] for i in range(n) for j in range(n))
+        gens.append(tuple(Fraction(row[i], d) for row in v))
+    _cross_check(prod(facs) == abs(L.det), "lattices.invariant_factor_product", "invariant factor product mismatch")
+    # every b(x, y) at once: g^T G g for the generators as the columns of g
+    b = _congruent(L.gram, list(zip(*gens)))
+    q_values = tuple(row[i] % 2 for i, row in enumerate(b))
+    return DiscriminantGroup(tuple(facs), tuple(gens), q_values, tuple(tuple(x % 1 for x in row) for row in b))

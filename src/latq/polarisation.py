@@ -186,8 +186,12 @@ def perp_gram(t: int, d: int, f: int, c: int):
     h = f e1 + f b e2 + c l inside U + <-2t>; the full complement is
     2U + 2E8(-1) + B.
 
-    Requires gcd(c, f) = 1 and f^2 | d + c^2 t; b = (d + c^2 t)/f^2.
+    Requires positive t, d, f with f | gcd(2t, 2d), gcd(c, f) = 1 and
+    f^2 | d + c^2 t; b = (d + c^2 t)/f^2.
     """
+    _check_positive(t, d, f)
+    if gcd(2 * t, 2 * d) % f:
+        raise ValueError("f must divide gcd(2t, 2d)")
     if gcd(c, f) != 1 or (d + c * c * t) % (f * f):
         raise ValueError("c is not an admissible residue for (t, d, f)")
     b = (d + c * c * t) // (f * f)

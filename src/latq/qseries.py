@@ -15,12 +15,8 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
-from typing import TYPE_CHECKING
 
 from .arith import _cross_check, _mul_trunc
-
-if TYPE_CHECKING:
-    from .gram import GramLattice
 
 __all__ = [
     "QSeries",
@@ -30,7 +26,6 @@ __all__ = [
     "shift_tau_by_one",
     "theta_A",
     "theta_D",
-    "theta_by_enumeration",
     "save_theta_cache",
     "load_theta_cache",
 ]
@@ -263,15 +258,6 @@ def theta_D(n: int, prec: int = DEFAULT_PREC) -> QSeries:
     s = t3**n + t4**n
     _cross_check(not any(c % 2 for c in s.coeffs), "qseries.even_theta_d", "theta_D coefficient is not an even integer")
     return QSeries(s.grid, s.prec, tuple(c // 2 for c in s.coeffs)).to_integer_grid()
-
-
-def theta_by_enumeration(L: GramLattice, prec: int = DEFAULT_PREC, method: str = "auto") -> QSeries:
-    """Theta series of an even positive-definite lattice by exhaustive
-    counting (integer exponent grid)."""
-    from .lattices import theta_counts
-
-    counts = theta_counts(L, prec, method=method)
-    return QSeries(1, prec, tuple(counts))
 
 
 # ---------------------------------------------------------------------------

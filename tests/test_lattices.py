@@ -310,8 +310,13 @@ def test_counting_model_is_chosen_by_structure():
     relabelled = lt.GramLattice(lt.A(5).gram, "D5")
     assert lt.rep_count(relabelled, 2) == 30
     assert lt.theta_counts(relabelled, 3) == lt.theta_counts(lt.A(5), 3)
-    # labels that do not parse fall back to the generic enumerator
+    # the Gram matrix decides, so a label that names no lattice changes nothing
     assert lt.rep_count(lt.GramLattice(lt.D(4).gram, "not a lattice"), 2) == 24
+    # and a permuted basis of D4 is no atom's Gram matrix: the walk counts it
+    order = (1, 0, 3, 2)
+    permuted = lt.GramLattice(tuple(tuple(lt.D(4).gram[i][j] for j in order) for i in order), "D4")
+    assert lt._model_counts(permuted.gram, 2) is None
+    assert lt.rep_count(permuted, 2) == 24
 
 
 def _counts_e7_reference(prec):
@@ -373,14 +378,17 @@ def test_counting_models_refuse_nonpositive_prec():
                 count(prec)
 
 
-_MODEL_ATOMS = ("A1", "A2", "A3", "A4", "A5", "A6", "D4", "D5", "D6", "D7", "E7")
+_MODEL_ATOMS = (*(lt.A(n) for n in range(1, 7)), *(lt.D(n) for n in range(4, 8)), lt.E7())
+_atoms = st.one_of(st.sampled_from(_MODEL_ATOMS), st.integers(1, 6).map(lambda k: lt.span(2 * k)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.sampled_from(_MODEL_ATOMS), min_size=1, max_size=2), st.integers(0, 8))
-def test_auto_theta_matches_fincke_pohst(parts, prec):
-    L = lt.standard_lattice("+".join(parts))
-    assert lt._model_counts(L, 1) is not None
+@given(st.lists(_atoms, min_size=1, max_size=2), st.sampled_from(("", "perp", "D5", "E7+A2")), st.integers(0, 8))
+def test_auto_theta_matches_fincke_pohst(parts, label, prec):
+    # the Gram matrix alone chooses the model: a missing or wrong label
+    # changes neither the choice nor the counts
+    L = lt.GramLattice(lt.direct_sum(*parts).gram, label)
+    assert lt._model_counts(L.gram, 1) is not None
     auto = lt.theta_counts(L, prec)
     # the generic walk visits every vector; keep it to a few 10^4
     while sum(auto) > 30_000:

@@ -107,8 +107,55 @@ def test_perp_gram_examples():
     for t, d in [(1, 1), (2, 5), (3, 7)]:
         b = po.perp_gram(t, d, 1, 0)
         assert b == ((-2 * d, 0), (0, -2 * t))
-    with pytest.raises(ValueError):
-        po.perp_gram(3, 1, 2, 2)  # c not coprime to f
+
+
+@pytest.mark.parametrize(
+    "t, d, f, c, message",
+    [
+        # c not coprime to f
+        (3, 1, 2, 2, "not an admissible residue"),
+        # f does not divide gcd(2t, 2d): s = 2ct/f used to round down
+        (1, 8, 3, 1, "f must divide gcd"),
+        # f = 0 used to reach `% (f * f)`, t = 0 to give a degenerate form
+        (1, 1, 0, 1, "must be positive"),
+        (0, 1, 1, 0, "must be positive"),
+    ],
+)
+def test_perp_gram_refuses_outside_its_domain(t, d, f, c, message):
+    with pytest.raises(ValueError, match=message):
+        po.perp_gram(t, d, f, c)
+
+
+@pytest.mark.parametrize(
+    "t, d, f, wrong, name",
+    [
+        # the invariants are off in the query alone; the checks recompute
+        # the factorisations of 2t and 2d from t and d
+        (6, 3, 3, {"t1": 3}, "t_factors"),
+        (6, 3, 3, {"d1": 2}, "d_factors"),
+        (2, 2, 1, {"f1": 2, "g1": 2}, "coprime_invariants"),
+    ],
+)
+def test_query_checks_fire(monkeypatch, t, d, f, wrong, name):
+    init = po.PolarisationQuery.__init__
+    monkeypatch.setattr(po.PolarisationQuery, "__init__", lambda self, **fields: init(self, **{**fields, **wrong}))
+    with pytest.raises(AssertionError, match=rf"^polarisation\.{name}: "):
+        po.PolarisationQuery.build(t, d, f)
+
+
+def test_count_vs_exists_fires(monkeypatch):
+    # a zero Euler phi makes the formula's count 0 where an orbit exists
+    monkeypatch.setattr(po, "_phi", lambda n: 0)
+    with pytest.raises(AssertionError, match=r"^polarisation\.count_vs_exists: "):
+        po.orbit_count_formula(6, 3, 3)
+
+
+def test_complement_det_fires(monkeypatch):
+    # a gcd that lets f = 3 divide gcd(2, 16) = 2 admits (t, d, f) = (1, 8, 3);
+    # then s = 2ct/f rounds down and the determinant is off
+    monkeypatch.setattr(po, "gcd", lambda a, b: 6 if (a, b) == (2, 16) else gcd(a, b))
+    with pytest.raises(AssertionError, match=r"^polarisation\.complement_det: "):
+        po.perp_gram(1, 8, 3, 1)
 
 
 def test_perp_gram_properties():

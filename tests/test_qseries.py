@@ -120,12 +120,12 @@ def test_theta_D_values():
 
 
 def test_theta_by_enumeration():
-    a1d4 = qs.theta_by_enumeration(lt.standard_lattice("A1+D4"), 6)
-    assert a1d4.coeffs[:2] == (1, 26)
-    e7 = qs.theta_by_enumeration(lt.E7(), 4)
-    assert e7.coeffs[1] == 126
-    two = qs.theta_by_enumeration(lt.span(2), 9)
-    assert two.coeffs == qs.theta_A(1, 9).coeffs
+    a1d4 = lt.theta_counts(lt.standard_lattice("A1+D4"), 6)
+    assert a1d4[:2] == [1, 26]
+    e7 = lt.theta_counts(lt.E7(), 4)
+    assert e7[1] == 126
+    two = lt.theta_counts(lt.span(2), 9)
+    assert tuple(two) == qs.theta_A(1, 9).coeffs
 
 
 def test_product_and_inverse():

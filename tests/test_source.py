@@ -128,6 +128,23 @@ def test_counting_models_use_no_numpy():
         assert names.isdisjoint({"np", "numpy"}), fn.name
 
 
+def test_counting_models_read_no_label():
+    # the Gram matrix alone chooses a counting model: the model functions
+    # name no label and no name parser, and inside the package only the
+    # CLI's `_lattice` parses a lattice name
+    tree = ast.parse((SRC / "lattices.py").read_text())
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_model_counts", "_atom_counts"):
+            names = {getattr(node, "id", getattr(node, "attr", getattr(node, "arg", None))) for node in ast.walk(fn)}
+            assert names.isdisjoint({"label", "standard_lattice"}), fn.name
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node, fn in _in_functions(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "standard_lattice":
+                callers.add(f"{path.stem}.{fn}")
+    assert callers == {"cli._lattice"}
+
+
 def test_one_p_adic_counting_route():
     # every p-adic count runs through the memo `_form_counts`; a second
     # caller of `_block_counts` would be a second route to keep in step
