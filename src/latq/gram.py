@@ -102,9 +102,8 @@ def _freeze(mat) -> tuple:
     return tuple(tuple(int(x) for x in row) for row in mat)
 
 
-def A(n: int) -> GramLattice:
-    """Root lattice A_n in the simple-root basis e_{i+1}-e_i of the sum-zero
-    hyperplane of Z^{n+1}."""
+def _a_gram(n: int) -> tuple:
+    """The Gram matrix of A_n in the basis of `A`."""
     if n < 1:
         raise ValueError("A_n needs n >= 1")
     g = [[0] * n for _ in range(n)]
@@ -112,12 +111,17 @@ def A(n: int) -> GramLattice:
         g[i][i] = 2
         if i + 1 < n:
             g[i][i + 1] = g[i + 1][i] = -1
-    return GramLattice(_freeze(g), f"A{n}")
+    return _freeze(g)
 
 
-def D(n: int) -> GramLattice:
-    """Root lattice D_n = {x in Z^n : sum x_i even}, simple roots
-    e_i - e_{i+1} (i < n) and e_{n-1} + e_n."""
+def A(n: int) -> GramLattice:
+    """Root lattice A_n in the simple-root basis e_{i+1}-e_i of the sum-zero
+    hyperplane of Z^{n+1}."""
+    return GramLattice(_a_gram(n), f"A{n}")
+
+
+def _d_gram(n: int) -> tuple:
+    """The Gram matrix of D_n in the basis of `D`."""
     if n < 2:
         raise ValueError("D_n needs n >= 2")
     g = [[0] * n for _ in range(n)]
@@ -128,7 +132,13 @@ def D(n: int) -> GramLattice:
     if n >= 3:
         # the fork: e_{n-1}+e_n pairs with e_{n-2}-e_{n-1}
         g[n - 3][n - 1] = g[n - 1][n - 3] = -1
-    return GramLattice(_freeze(g), f"D{n}")
+    return _freeze(g)
+
+
+def D(n: int) -> GramLattice:
+    """Root lattice D_n = {x in Z^n : sum x_i even}, simple roots
+    e_i - e_{i+1} (i < n) and e_{n-1} + e_n."""
+    return GramLattice(_d_gram(n), f"D{n}")
 
 
 # E7 simple roots inside Q^8: v_i = e_{i+2}-e_{i+1} for i=1..6 and

@@ -33,7 +33,7 @@ from .arith import _cross_check, _mul_trunc
 
 # every name of gram, so that lattices.<name> is the same object, and a cache
 # reset that walks this namespace also empties `_cholesky` and `_theta_e7_table`
-from .gram import E7_SIMPLE_DOUBLED, E8_SIMPLE_DOUBLED, A, D, E7, E8, GramLattice, LatticeVector, U, _freeze, _gram_from_doubled, direct_sum, rescale, span
+from .gram import E7_SIMPLE_DOUBLED, E8_SIMPLE_DOUBLED, A, D, E7, E8, GramLattice, LatticeVector, U, _a_gram, _d_gram, _freeze, _gram_from_doubled, direct_sum, rescale, span
 from .gram import _cholesky, _congruent, _det_bareiss, _mat_mul, divisor, inner, norm
 from .gram import _check_prec, _theta_e7_table, theta_e7, theta_e8
 from .gram import _BLOCK, _INT64_MAX, _index_dtype, _isqrt, _Levels
@@ -288,7 +288,9 @@ def _model_counts(gram: tuple, prec: int):
 
 def _atom_counts(block: tuple, prec: int):
     """The counts of one block by its model, or None: the block must be
-    exactly the Gram matrix of A_n, D_n or E7, or a 1x1 even <k>, k > 0."""
+    exactly the Gram matrix of A_n, D_n or E7, or a 1x1 even <k>, k > 0.
+    It is compared with the Gram tuples that `A`, `D` and `E7` are built
+    from, so no lattice is constructed."""
     n = len(block)
     if n == 1:
         k = block[0][0]
@@ -301,11 +303,11 @@ def _atom_counts(block: tuple, prec: int):
                 break
             c[half] += 1 if x == 0 else 2
         return c
-    if block == A(n).gram:
+    if block == _a_gram(n):
         return counts_sum_zero(n + 1, prec)
-    if block == D(n).gram:
+    if block == _d_gram(n):
         return counts_even_sum(n, prec)
-    if block == E7().gram:
+    if block == _gram_from_doubled(E7_SIMPLE_DOUBLED):
         return counts_e7(prec)
     return None
 

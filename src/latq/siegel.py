@@ -29,12 +29,17 @@ a prime sieve, with the Legendre symbols (delta/p) of every prime from one
 Euler-criterion pass on arrays, not from `kronecker`, so that for p not
 dividing delta it checks the Cohen route's chi_D rather than sharing it.
 Its enclosure is memoised per (delta, terms), so each discriminant builds
-one table however many t share it.  The Cohen route's generalized
-Bernoulli numbers come from integer power sums sum_a chi(a) a^j, with
-rationals only in the final n + 1 terms.  Neither memo nor power sums
-factor anything.  The counting oracle factors nothing either, so it stays
-independent of the closed forms it certifies.  The oracle's Jordan split is
-verified on integer matrices, each scaled by one common denominator.
+one table however many t share it.  The Cohen number is memoised per
+(m1, delta) the same way, in its own cache: a round of t = 1..40 on the
+three forms computes 43 Cohen numbers, not 120.  `siegel_r` factors 2 t |A|
+once and reads t_a, t1, t2, D and every chi_D(p) off that split; the
+closed 2- and 3-adic densities read only the class of t.  The Cohen
+route's generalized Bernoulli numbers come from integer power sums
+sum_a chi(a) a^j, with rationals only in the final n + 1 terms.  Neither
+the enclosure's memo nor the power sums factor anything.  The counting
+oracle factors nothing either, so it stays independent of the closed forms
+it certifies.  The oracle's Jordan split is verified on integer matrices,
+each scaled by one common denominator.
 
 Densities are normalized as limits of p^{-a(m-1)} #{X mod p^a : S(X) = t}.
 """
@@ -174,6 +179,29 @@ def discriminant_of(form: "OddForm", t: int) -> ZagierDiscriminant:
     _, _, t2 = decompose_t(t, form.det_a)
     dd = field_discriminant(2 * t * form.det_a)
     return ZagierDiscriminant(dd * t2 * t2, dd, t2)
+
+
+def _split_t(t: int, det_a: int) -> tuple:
+    """(t_a, t1, t2, D): `decompose_t(t, det_a)` and the field discriminant
+    D of 2 t |A|, read off one factorisation of 2 t |A|.
+
+    The exponent of p in t is its exponent in 2 t |A| less its exponent in
+    2 |A|, and the square-free kernel of 2 t |A| is the product of the p
+    with an odd exponent.
+    """
+    two_det = 2 * det_a
+    t_a = t1 = t2 = kernel = 1
+    for p, e in _factor(two_det * t):
+        if e % 2:
+            kernel *= p
+        if two_det % p == 0:
+            e -= _ord(two_det, p)
+        if det_a % p == 0:
+            t_a *= p**e
+        else:
+            t1 *= p ** (e % 2)
+            t2 *= p ** (e // 2)
+    return t_a, t1, t2, kernel if kernel % 4 == 1 else 4 * kernel
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +434,14 @@ def generalized_bernoulli(n: int, D: int) -> Fraction:
     return sum(comb(n, k) * bernoulli_number(k) * Fraction(f**k, f) * sums[n - k] for k in range(n + 1))
 
 
+@lru_cache(maxsize=512)
 def cohen_H(m1: int, delta: int) -> Fraction:
     """H(m1, delta) = L(1 - m1, delta), an exact rational.
 
     Computed as L(1-m1, chi_D) * sum_{a | f} mu(a) chi_D(a) a^{m1-1}
-    sigma_{2m1-1}(f/a) for delta = D f^2.
+    sigma_{2m1-1}(f/a) for delta = D f^2.  Memoised per (m1, delta), like
+    the numeric enclosure: the reports that share a delta share one Cohen
+    number (the 120 reports for t <= 40 have 43).
     """
     if m1 < 1:
         raise ValueError("need m1 >= 1")
@@ -501,13 +532,19 @@ def _alpha2(t: int, k: int, c4: int, e4: int) -> Fraction:
     """The 2-adic density of the three forms at t, one formula in (k, c, e):
     1 + c (1 - 8^-b)/7 + e ((-1)^D / 2^(3b+2) - chi_D(2) / 2^(3b+3)), with
     b = floor(ord_2(t) / 2) and D the field discriminant of k t.  It is read
-    as one integer numerator over 28 * 2^(3b+3), with c4 = 4c and e4 = 4e."""
+    as one integer numerator over 28 * 2^(3b+3), with c4 = 4c and e4 = 4e.
+
+    D depends on t only through its class: with k t = 2^e u, u odd, D is odd
+    exactly when e is even and u = 1 mod 4, and then D = u mod 8, because
+    every odd square is 1 mod 8.  So nothing is factored."""
     if t < 1:
         raise ValueError("t must be positive")
-    n = 8 << 3 * (_ord(t, 2) // 2)
-    D = field_discriminant(k * t)
-    parity = -1 if D % 2 else 1
-    return Fraction(28 * n + 8 * c4 * (n // 8 - 1) + 7 * e4 * (2 * parity - kronecker(D, 2)), 28 * n)
+    e = _ord(t, 2)
+    n = 8 << 3 * (e // 2)
+    u = k * (t >> e) % 8
+    # (-1)^D and chi_D(2): 1 and 0 for even D, -1 and (2/u) for odd D
+    parity, chi2 = (-1, 1 if u == 1 else -1) if e % 2 == 0 and u % 4 == 1 else (1, 0)
+    return Fraction(28 * n + 8 * c4 * (n // 8 - 1) + 7 * e4 * (2 * parity - chi2), 28 * n)
 
 
 def alpha2_S5(t: int) -> Fraction:
@@ -525,32 +562,29 @@ def alpha2_A5(t: int) -> Fraction:
     return _alpha2(t, 3, 2, -1)
 
 
-def _geom_alt_third(j: int) -> Fraction:
-    """sum_{i=0}^{j} (-1/3)^i."""
-    return Fraction(3, 4) * (1 - Fraction(-1, 3) ** (j + 1))
-
-
 def alpha3_A5(t: int) -> Fraction:
     """3-adic density of the A5 form at t.
 
     Over Z_3 the form splits as a rank-4 unimodular part of determinant
     class 2 plus a <6> block; the unimodular part has density
     (10/9) * sum_{i<=j} (-1/3)^i at 3^j * unit, and averaging over the <6>
-    coordinate gives the finite closed form below (certified against the
-    counting oracle).
+    coordinate gives a finite sum of geometric series (certified against the
+    counting oracle).  Summed, it is one integer quotient on each class of
+    t, read off c = ord_3 t, q = 27^floor(c/2) and u = t / 3^c mod 3:
+    (10/9) (9q + 4) / (13q) for even c, (10/9) (27q - 1) / (39q) for odd c
+    and u = 1, and (10/9) (135q + 8) / (195q) for odd c and u = 2.
     """
     if t < 1:
         raise ValueError("t must be positive")
     c = _ord(t, 3)
-    tp = t // 3**c
-    gamma = c // 2
-    common = sum(Fraction(2, 3 ** (e + 1)) * _geom_alt_third(2 * e + 1) for e in range(gamma))
-    if c % 2 == 0 or kronecker(tp, 3) == 1:
-        val = common + Fraction(1, 3**gamma) * _geom_alt_third(c)
+    q = 27 ** (c // 2)
+    if c % 2 == 0:
+        num, den = 9 * q + 4, 13 * q
+    elif t // 3**c % 3 == 1:
+        num, den = 27 * q - 1, 39 * q
     else:
-        tail = Fraction(2, 3 ** (gamma + 1)) * Fraction(3, 4) * (1 - Fraction(3, 5) * Fraction(-1, 3) ** (c + 2))
-        val = common + Fraction(1, 3 ** (gamma + 1)) * _geom_alt_third(c) + tail
-    return Fraction(10, 9) * val
+        num, den = 135 * q + 8, 195 * q
+    return Fraction(10 * num, 9 * den)
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +676,12 @@ def jordan_split(s_matrix, p: int):
         for r in range(n):
             t[r][dst] += c * t[r][src]
 
-    done = 0
-    blocks = []
-    guard = 0
-    while done < n:
-        guard += 1
-        if guard > 8 * n:
-            raise RuntimeError("jordan_split failed to converge")
+    # every pass at p = 2 places a block, and at odd p an off-diagonal pass
+    # is followed by a diagonal pivot, so 2n passes suffice; no input
+    # reaches the bound 8n, which guards the loop itself
+    done, passes, blocks = 0, 0, []
+    while done < n and passes < 8 * n:
+        passes += 1
         best = None
         best_val = math.inf
         for i in range(done, n):
@@ -690,6 +723,7 @@ def jordan_split(s_matrix, p: int):
                     addmul(k, done + 1, -c2)
             blocks.append(((a_, b_), (b_, c_)))
             done += 2
+    _cross_check(done == n, "siegel.jordan_converges", f"{n - done} of {n} rows unsplit after {passes} passes")
     # verification: T p-integral with unit determinant, T^t M0 T block diagonal
     _cross_check(all(x.denominator % p for row in t for x in row), "siegel.jordan_p_integral", "transform not p-integral")
     expected = [[Fraction(0)] * n for _ in range(n)]
@@ -761,6 +795,12 @@ def _square_classes(p: int, a: int):
     p^j w, w = 1..p^(a-j) - 1, through one strided slice; the multiples of
     p^(j+1) among them are labelled again at level j + 1.  Returns the label
     of every residue and the smallest member and the size of every class.
+
+    Those follow from the construction: a class of level j is p^j times the
+    units w < p^(a-j) of one residue class mod r (r = p, or min(8, 2^(a-j))
+    at p = 2), so its smallest member is p^j times the least unit in [1, r)
+    of that class, and it holds 1/(the number of its level's classes) of the
+    p^(a-j) - p^(a-j-1) units.
     """
     import numpy as np
 
@@ -768,21 +808,20 @@ def _square_classes(p: int, a: int):
     w = np.arange(1, p**a, dtype=np.int64)
     nonsquare = np.ones(p, dtype=bool)
     nonsquare[np.arange(1, p) ** 2 % p] = False
-    first = 1
+    reps, sizes = [0], [1]
     for j in range(a):
         units = w[: p ** (a - j) - 1]
         if p == 2:
             r = min(8, 2 ** (a - j))  # the only unit square mod r is 1
-            labels[p**j :: p**j] = first + units % r // 2
-            first += r // 2
+            labels[p**j :: p**j] = len(reps) + units % r // 2
+            least = range(1, r, 2)
         else:
-            labels[p**j :: p**j] = first + nonsquare[units % p]
-            first += 2
+            labels[p**j :: p**j] = len(reps) + nonsquare[units % p]
+            least = (1, int(np.argmax(nonsquare[1:])) + 1)
+        reps += [p**j * u for u in least]
+        sizes += [(p - 1) * p ** (a - j - 1) // len(least)] * len(least)
     labels.flags.writeable = False  # shared by every caller through the cache
-    # every class is nonempty; a stable sort keeps each class's smallest member first
-    sizes = np.bincount(labels)
-    reps = np.argsort(labels, kind="stable")[np.cumsum(sizes) - sizes]
-    return labels, tuple(reps.tolist()), tuple(sizes.tolist())
+    return labels, tuple(reps), tuple(sizes)
 
 
 @lru_cache(maxsize=32)
@@ -905,13 +944,16 @@ class DensityReport:
         return dict(self.alphas)[p]
 
 
+def _euler_factor(form: OddForm, p: int, chi: int, alpha: Fraction) -> Fraction:
+    """(1 - chi p^(-m1)) / (1 - p^(1-m)) * alpha as one quotient of integers,
+    (p^m1 - chi) p^m1 alpha / (p^(2 m1) - 1), with m = 2 m1 + 1."""
+    pm = p ** ((form.m - 1) // 2)
+    return Fraction((pm - chi) * pm * alpha.numerator, (pm * pm - 1) * alpha.denominator)
+
+
 def local_factor(form: OddForm, p: int, t: int) -> Fraction:
     """(1 - chi_D(p) p^{(1-m)/2}) / (1 - p^{1-m}) * alpha_p(t, S)."""
-    m1 = (form.m - 1) // 2
-    chi = form.chi(p, t)
-    num = 1 - chi * Fraction(1, p**m1)
-    den = 1 - Fraction(1, p ** (form.m - 1))
-    return num / den * form.alpha_closed(p, t)
+    return _euler_factor(form, p, form.chi(p, t), form.alpha_closed(p, t))
 
 
 def siegel_r(form, t: int) -> DensityReport:
@@ -920,6 +962,10 @@ def siegel_r(form, t: int) -> DensityReport:
     Assembles the Cohen-number route exactly and checks it, on every call,
     against the numeric L-value route, whose rigorous enclosure the report
     carries as l_value_bounds; a disagreement raises AssertionError.
+
+    One factorisation of 2 t |A| gives t_a, t1, t2, D and every chi_D(p);
+    each closed alpha_p is computed once, and the exact r is one quotient of
+    integers.  The Cohen number and the enclosure are memoised per delta.
     """
     if isinstance(form, str):
         form = FORMS[form]
@@ -928,34 +974,36 @@ def siegel_r(form, t: int) -> DensityReport:
     m1 = (form.m - 1) // 2
     if m1 != 2:
         raise ValueError("assembled only for rank 5")
-    t_a, t1, t2 = decompose_t(t, form.det_a)
-    zd = discriminant_of(form, t)
-    dd, delta = zd.D, zd.delta
+    t_a, t1, t2, dd = _split_t(t, form.det_a)
+    delta = dd * t2 * t2
     fa2, rem = divmod(2 * t * form.det_a, delta)
     fa = isqrt(fa2)
     _cross_check(not rem and fa * fa == fa2, "siegel.square_cofactor", "2 t |A| / delta is not a perfect square")
     hval = cohen_H(m1, delta)
-    _cross_check((-1) ** (m1 // 2) * hval > 0, "siegel.cohen_sign", "Cohen number has the wrong sign")
+    _cross_check((-1) ** (m1 // 2) * hval.numerator > 0, "siegel.cohen_sign", "Cohen number has the wrong sign")
     alphas = []
     factors = []
-    prod = Fraction(1)
+    prod_num = prod_den = 1
     for p in form.bad_primes:
         al = form.alpha_closed(p, t)
         alphas.append((p, al))
-        fac = local_factor(form, p, t)
+        fac = _euler_factor(form, p, kronecker(dd, p), al)
         factors.append((p, fac))
-        prod *= fac
-    # prefactor: sqrt(2^5 t^3 / (delta^3 |A|)) = 2 f_A^3 / |A|^2, times
-    # 2 * |2 m1 / B_{2 m1}| with |4 / B_4| = 120
-    bconst = 2 * abs(Fraction(2 * m1) / bernoulli_number(2 * m1))
-    r_exact = Fraction(2 * fa**3, form.det_a**2) * bconst * (-hval) * prod
-    _cross_check(r_exact.denominator == 1 and r_exact >= 0, "siegel.integral_r", f"assembled representation number is not a nonnegative integer: {r_exact}")
+        prod_num *= fac.numerator
+        prod_den *= fac.denominator
+    # r = sqrt(2^5 t^3 / (delta^3 |A|)) * 2 |2 m1 / B_{2 m1}| * (-H) * prod
+    # with the square root 2 f_A^3 / |A|^2 and |4 / B_4| = 120
+    bern = bernoulli_number(2 * m1)
+    r_num = 2 * fa**3 * 2 * (2 * m1) * bern.denominator * -hval.numerator * prod_num
+    r_den = form.det_a**2 * abs(bern.numerator) * hval.denominator * prod_den
+    r_exact, rem = divmod(r_num, r_den)
+    _cross_check(not rem and r_exact >= 0, "siegel.integral_r", f"assembled representation number is not a nonnegative integer: {r_num}/{r_den}")
     lo, hi = l_bounds = zagier_L_numeric(delta)  # the cached tuple, shared by every report of delta
     c_inf = alpha_infinity(t, form.m, form.det_a).value()
-    scale = c_inf / ZETA4 * float(prod)
+    scale = c_inf / ZETA4 * (prod_num / prod_den)
     r_lo, r_hi = scale * lo, scale * hi
     pad = 1e-9 * max(1.0, r_hi)
-    _cross_check(r_lo - pad <= float(r_exact) <= r_hi + pad, "siegel.routes_agree", f"Siegel routes disagree for {form.key}, t={t}: exact {r_exact}, numeric [{r_lo}, {r_hi}]")
+    _cross_check(r_lo - pad <= r_exact <= r_hi + pad, "siegel.routes_agree", f"Siegel routes disagree for {form.key}, t={t}: exact {r_exact}, numeric [{r_lo}, {r_hi}]")
     return DensityReport(
         form=form.key,
         t=t,
@@ -968,7 +1016,7 @@ def siegel_r(form, t: int) -> DensityReport:
         local_factors=tuple(factors),
         cohen=hval,
         l_value_bounds=l_bounds,
-        r=int(r_exact),
+        r=r_exact,
         routes_agree=True,  # reached only past the check above
     )
 

@@ -804,10 +804,10 @@ def test_reports_carry_a_checked_enclosure():
 @pytest.mark.parametrize(
     "attr, wrong, name",
     [
-        # 5 does not divide 2 t |A| = 64
-        ("discriminant_of", lambda _: lambda form, t: sg.ZagierDiscriminant(5, 5, 1), "square_cofactor"),
+        # D = 5, so 5 = delta does not divide 2 t |A| = 64
+        ("_split_t", lambda honest: lambda t, det_a: honest(t, det_a)[:3] + (5,), "square_cofactor"),
         ("cohen_H", lambda honest: lambda m1, delta: -honest(m1, delta), "cohen_sign"),
-        ("local_factor", lambda honest: lambda form, p, t: honest(form, p, t) / 7, "integral_r"),
+        ("_euler_factor", lambda honest: lambda form, p, chi, alpha: honest(form, p, chi, alpha) / 7, "integral_r"),
         ("zagier_L_numeric", lambda honest: lambda delta: tuple(2 * x for x in honest(delta)), "routes_agree"),
     ],
 )
@@ -817,6 +817,75 @@ def test_siegel_r_checks_fire(monkeypatch, attr, wrong, name):
     monkeypatch.setattr(sg, attr, wrong(getattr(sg, attr)))
     with pytest.raises(AssertionError, match=rf"^siegel\.{name}: "):
         sg.siegel_r("S5", 1)
+
+
+# sha256 of repr(siegel_r(form, t)), concatenated over the forms S5, A1D4,
+# A5 and, within each form, t = 1..400, as the assembly through
+# `discriminant_of` and `local_factor` with Fraction products computed them
+SIEGEL_R_SHA256 = "d432df5862f0f5250540b38608e1dd82257ce90b28a3c21c368bc9b3ac6460fe"
+
+
+def test_siegel_r_reports_are_pinned():
+    digest = hashlib.sha256()
+    for form in ("S5", "A1D4", "A5"):
+        for t in range(1, 401):
+            digest.update(repr(sg.siegel_r(form, t)).encode())
+    assert digest.hexdigest() == SIEGEL_R_SHA256
+
+
+def test_public_helpers_agree_with_the_reports():
+    # siegel_r splits t once and builds each Euler factor once; the public
+    # helpers compute the same quantities on their own
+    for key in ("S5", "A1D4", "A5"):
+        form = sg.FORMS[key]
+        for t in range(1, 401):
+            rep = sg.siegel_r(form, t)
+            zd = sg.discriminant_of(form, t)
+            assert (zd.D, zd.delta, zd.f) == (rep.D, rep.delta, rep.t2), (key, t)
+            assert sg.decompose_t(t, form.det_a) == (rep.t_a, rep.t1, rep.t2), (key, t)
+            assert rep.local_factors == tuple((p, sg.local_factor(form, p, t)) for p in form.bad_primes), (key, t)
+
+
+def test_each_discriminant_computes_one_cohen_number():
+    # like the enclosure, the Cohen number is memoised per delta: the 120
+    # reports for t <= 40 have 43 distinct delta
+    sg.cohen_H.cache_clear()
+    for form in sorted(sg.FORMS):
+        for t in range(1, 41):
+            sg.siegel_r(form, t)
+    assert sg.cohen_H.cache_info().misses == 43
+
+
+def test_a_warm_report_factors_only_2_t_det_a(monkeypatch):
+    # one factorisation of 2 t |A| gives t_a, t1, t2, D and every chi_D(p);
+    # the closed densities read the class of t and factor nothing
+    factored = []
+    honest = sg._factor
+    monkeypatch.setattr(sg, "_factor", lambda n: factored.append(n) or honest(n))
+    for key in sorted(sg.FORMS):
+        form = sg.FORMS[key]
+        for t in range(1, 61):
+            sg.siegel_r(form, t)
+            factored.clear()
+            sg.siegel_r(form, t)
+            assert factored == [2 * t * form.det_a], (key, t)
+
+
+def test_zagier_discriminant_refuses_inconsistent_input():
+    assert sg.ZagierDiscriminant(20, 5, 2).f == 2
+    with pytest.raises(ValueError, match="delta != D"):
+        sg.ZagierDiscriminant(20, 5, 1)
+
+
+def test_jordan_split_guards_its_loop(monkeypatch):
+    # no input reaches the bound: at odd p an off-diagonal pass is followed
+    # by a diagonal pivot.  A valuation that ranks every non-integer below
+    # the integers keeps choosing A5's half-integral off-diagonal entries,
+    # which the pass keeps half-integral, so the loop never pivots
+    honest = sg._val_p
+    monkeypatch.setattr(sg, "_val_p", lambda x, p: honest(x, p) - (x.denominator != 1))
+    with pytest.raises(AssertionError, match=r"^siegel\.jordan_converges: "):
+        sg.jordan_split(sg.FORMS["A5"].s_matrix, 3)
 
 
 def test_exact_route_guards_the_b_table(capsys, monkeypatch):
